@@ -1,5 +1,5 @@
 //! Re-share scaling benches: storm-sized flow convoys on an *unscaled*
-//! DC-9 topology, across the three fair-sharing tiers.
+//! DC-9 topology, across the fabric's two fair-sharing tiers.
 //!
 //! The workload is a rack-localized convoy — groups of 20 flows between
 //! a rack pair, the locality real repair storms and shuffle waves have —
@@ -10,13 +10,17 @@
 //!   component single-bottleneck and routes it through the O(log n)
 //!   fair-work clock, so per-event cost stays near-flat as the convoy
 //!   grows (200 → 1 000 000 flows);
-//! * `component` — `SharingMode::Filling` at component scope: the
-//!   progressive-filling reference, O(component) per event;
-//! * `global` — filling at global scope: the pre-optimization quadratic
-//!   recompute, recorded only where it terminates in reasonable time.
+//! * `component` — `SharingMode::Filling`: component-scoped
+//!   progressive filling, O(component) per event.
+//!
+//! `BENCH_reshare.json` also holds `global` rows — a whole-fabric
+//! filling recompute on every event, the pre-optimization quadratic
+//! regime — recorded before that mode was removed from the fabric. They
+//! stay as the historical reference until the file is next re-recorded;
+//! this bench no longer measures or writes them.
 //!
 //! Modes:
-//! * default — measures everything and (re)writes `BENCH_reshare.json`
+//! * default — measures both tiers and (re)writes `BENCH_reshare.json`
 //!   at the workspace root with per-tier wall clock and per-event cost;
 //! * `RESHARE_SMOKE=1` — runs the 2 000- and 10 000-flow component
 //!   cases and the 100 000-flow analytic-vs-component pair once each,
@@ -29,7 +33,7 @@
 use std::time::{Duration, Instant};
 
 use harvest_cluster::ServerId;
-use harvest_net::{Fabric, NetworkConfig, ReshareScope, SharingMode, Topology};
+use harvest_net::{Fabric, NetworkConfig, SharingMode, Topology};
 use harvest_sim::SimTime;
 use harvest_trace::datacenter::DatacenterProfile;
 use std::hint::black_box;
@@ -41,12 +45,10 @@ const GROUP: u64 = 20;
 /// One fair-sharing tier under measurement.
 #[derive(Clone, Copy, PartialEq)]
 enum Engine {
-    /// `SharingMode::Auto` at component scope: the analytic fast path.
+    /// `SharingMode::Auto`: the analytic fast path.
     Analytic,
-    /// `SharingMode::Filling` at component scope: the filling reference.
+    /// `SharingMode::Filling`: component-scoped progressive filling.
     Component,
-    /// Filling at global scope: the quadratic pre-optimization regime.
-    Global,
 }
 
 impl Engine {
@@ -54,24 +56,13 @@ impl Engine {
         match self {
             Engine::Analytic => "analytic",
             Engine::Component => "component",
-            Engine::Global => "global",
         }
     }
 
-    fn apply(self, fabric: &mut Fabric) {
+    fn sharing(self) -> SharingMode {
         match self {
-            Engine::Analytic => {
-                fabric.set_reshare_scope(ReshareScope::Component);
-                fabric.set_sharing_mode(SharingMode::Auto);
-            }
-            Engine::Component => {
-                fabric.set_reshare_scope(ReshareScope::Component);
-                fabric.set_sharing_mode(SharingMode::Filling);
-            }
-            Engine::Global => {
-                fabric.set_reshare_scope(ReshareScope::Global);
-                fabric.set_sharing_mode(SharingMode::Filling);
-            }
+            Engine::Analytic => SharingMode::Auto,
+            Engine::Component => SharingMode::Filling,
         }
     }
 }
@@ -79,8 +70,11 @@ impl Engine {
 /// Builds and fully drains one convoy of `n_flows`, returning the
 /// completion count (sanity-checked by callers).
 fn run_convoy(topo: &Topology, n_flows: u64, engine: Engine) -> usize {
-    let mut fabric = Fabric::new(topo.clone(), &NetworkConfig::datacenter());
-    engine.apply(&mut fabric);
+    let config = NetworkConfig {
+        sharing: engine.sharing(),
+        ..NetworkConfig::datacenter()
+    };
+    let mut fabric = Fabric::new(topo.clone(), &config);
     // Only full racks host convoy lanes (the trailing rack may be
     // partial and its missing servers would be out of range).
     let full_racks = topo.n_servers() as u64 / RACK_SIZE as u64;
@@ -146,7 +140,7 @@ fn main() {
             assert!(
                 secs < ceiling,
                 "{n}-flow {label} convoy took {secs:.2}s against a {ceiling}s budget — \
-                 re-sharing has regressed toward the quadratic global recompute \
+                 re-sharing has regressed toward a quadratic whole-fabric recompute \
                  (baseline ~{baseline}s)"
             );
         }
@@ -197,18 +191,6 @@ fn main() {
             println!("bench reshare/convoy_{n}_component           skipped (O(component) regime)");
             None
         };
-        // The global reference is the pre-optimization algorithm; past
-        // 2k flows it is far into the quadratic regime, so record it
-        // only where it terminates in reasonable time.
-        let glob = if n <= 2_000 {
-            let iters = if n <= 200 { 5 } else { 1 };
-            let g = measure(&topo, n, Engine::Global, iters);
-            println!("bench reshare/convoy_{n}_global              {g:>10.4}s median of {iters}");
-            Some(g)
-        } else {
-            println!("bench reshare/convoy_{n}_global              skipped (quadratic regime)");
-            None
-        };
         let fmt_opt = |v: Option<f64>| match v {
             Some(x) => format!("{x:.6}"),
             None => "null".into(),
@@ -220,18 +202,15 @@ fn main() {
         json_rows.push(format!(
             "    \"convoy_{n}\": {{ \"analytic_secs\": {ana:.6}, \
              \"analytic_per_event_us\": {per_event_us:.3}, \
-             \"component_secs\": {}, \"global_secs\": {}, \
-             \"analytic_speedup_vs_component\": {}, \
-             \"analytic_speedup_vs_global\": {} }}",
+             \"component_secs\": {}, \
+             \"analytic_speedup_vs_component\": {} }}",
             fmt_opt(comp),
-            fmt_opt(glob),
             fmt_ratio(comp),
-            fmt_ratio(glob),
         ));
     }
 
     let json = format!(
-        "{{\n  \"bench\": \"reshare\",\n  \"topology\": {{ \"profile\": \"{}\", \"servers\": {}, \"racks\": {}, \"links\": {} }},\n  \"workload\": \"rack-pair convoy, 64 MiB flows, {}-flow groups, starts staggered over 97 ms\",\n  \"tiers\": \"analytic = SharingMode::Auto (O(log n) fast path), component = filling at component scope, global = filling at global scope (pre-optimization reference)\",\n  \"convoys\": {{\n{}\n  }}\n}}\n",
+        "{{\n  \"bench\": \"reshare\",\n  \"topology\": {{ \"profile\": \"{}\", \"servers\": {}, \"racks\": {}, \"links\": {} }},\n  \"workload\": \"rack-pair convoy, 64 MiB flows, {}-flow groups, starts staggered over 97 ms\",\n  \"tiers\": \"analytic = SharingMode::Auto (O(log n) fast path), component = SharingMode::Filling (component-scoped progressive filling)\",\n  \"convoys\": {{\n{}\n  }}\n}}\n",
         profile.name(),
         topo.n_servers(),
         topo.n_racks(),

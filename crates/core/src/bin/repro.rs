@@ -14,15 +14,15 @@
 //!                 reads, and shuffles pay for bandwidth)
 //!   --disk        run over the harvest-disk model (the same bytes pay
 //!                 for platter bandwidth too; composes with --net)
-//!   --sharing MODE  fair-sharing engine for the fabric and the disk
-//!                 pools: auto (default — single-bottleneck components
-//!                 and channels ride the analytic O(log n) fast path,
-//!                 everything else falls back to progressive filling),
-//!                 analytic (same selection, named for A/B runs), or
-//!                 filling (pin the reference progressive-filling
-//!                 tier). Experiment results are identical across
-//!                 modes; only wall-clock and the transfer-model
-//!                 churn diagnostics change
+//!   --sharing MODE  the fabric's bandwidth allocator (needs --net):
+//!                 auto (default — single-bottleneck components ride
+//!                 the analytic O(log n) fast path, everything else
+//!                 uses progressive filling) or filling (progressive
+//!                 filling everywhere). Experiment results are
+//!                 identical in both modes; only wall-clock and the
+//!                 fabric's churn diagnostics change. The disk pools
+//!                 always use the analytic engine: every channel is
+//!                 single-bottleneck
 //!   --full-sweep  run the scheduling simulations with full-fleet tick
 //!                 sweeps instead of the change-driven default — the
 //!                 bitwise-identical reference mode (slower; for
@@ -166,7 +166,7 @@ fn main() -> ExitCode {
             {
                 Some(mode) => sharing = Some(mode),
                 None => {
-                    eprintln!("--sharing requires one of: auto analytic filling");
+                    eprintln!("--sharing requires one of: auto filling");
                     return ExitCode::FAILURE;
                 }
             },
@@ -249,13 +249,13 @@ fn main() -> ExitCode {
                      reference; output is byte-identical for any N)"
                 );
                 println!(
-                    "--sharing MODE picks the fair-sharing engine for the fabric and \
-                     disk pools: auto (default; single-bottleneck components and \
-                     channels ride the analytic O(log n) fast path, the rest uses \
-                     progressive filling), analytic (same selection, named for A/B \
-                     runs), or filling (pin the reference tier). Experiment \
-                     results are identical across modes; only wall-clock and \
-                     the transfer-model churn diagnostics change"
+                    "--sharing MODE picks the fabric's bandwidth allocator and needs \
+                     --net: auto (default; single-bottleneck components ride the \
+                     analytic O(log n) fast path, the rest uses progressive \
+                     filling) or filling (progressive filling everywhere). \
+                     Experiment results are identical in both modes; only \
+                     wall-clock and the fabric churn diagnostics change. Disk \
+                     pools always use the analytic engine"
                 );
                 println!();
                 println!("inspecting a run:");
@@ -329,6 +329,10 @@ fn main() -> ExitCode {
             other => experiments.push(other.to_string()),
         }
     }
+    if sharing.is_some() && !net {
+        eprintln!("error: --sharing selects the fabric's allocator and needs --net");
+        return ExitCode::FAILURE;
+    }
     // `repro analyze TRACE.json` is a pure post-processing mode: no
     // experiments run, the blame tables go to stdout.
     if experiments.first().is_some_and(|e| e == "analyze") {
@@ -361,16 +365,16 @@ fn main() -> ExitCode {
 
     let mut scale = if full { Scale::full() } else { Scale::quick() };
     if net {
-        scale.network = Some(harvest_net::NetworkConfig::datacenter());
+        scale.network = Some(harvest_net::NetworkConfig {
+            sharing: sharing.unwrap_or_default(),
+            ..harvest_net::NetworkConfig::datacenter()
+        });
     }
     if disk {
         scale.disk = Some(harvest_disk::DiskConfig::datacenter());
     }
     if full_sweep {
         scale.tick_sweep = harvest_sched::TickSweep::Full;
-    }
-    if let Some(mode) = sharing {
-        scale.sharing = mode;
     }
     scale.faults = faults;
     if let Some(jobs) = jobs {
@@ -474,8 +478,8 @@ fn main() -> ExitCode {
                     eprintln!(
                         "[{id} sharing: {} fabric components promoted to the analytic \
                          tier ({} completions served in O(log n), {} migrated back to \
-                         progressive filling); {} disk channels promoted ({} analytic \
-                         completions)]",
+                         progressive filling); {} disk channel engines opened ({} \
+                         completions served in O(log n))]",
                         cv("net/analytic_components"),
                         net_analytic,
                         cv("net/fallback_migrations"),

@@ -2,8 +2,8 @@
 //!
 //! The contract behind `repro --jobs N`: thread count decides only *who*
 //! computes each sweep task, never what any report contains. These tests
-//! pin it the same way the `ReshareScope::Global` and `TickSweep::Full`
-//! oracles pin their incremental counterparts — run the reference path
+//! pin it the same way the `TickSweep::Full` oracle pins the incremental
+//! tick sweep — run the reference path
 //! (`jobs = 1`, a plain sequential loop) and a contended parallel path
 //! (`jobs = 4`, forced even on fewer cores; threads do not need cores to
 //! interleave) and assert the rendered reports are byte-identical.
@@ -263,6 +263,12 @@ fn bad_arguments_fail_fast() {
     assert!(run(&["--jobs", "0", "fig7"]).contains("--jobs requires an integer >= 1"));
     assert!(run(&["--jobs", "x", "fig7"]).contains("--jobs requires an integer >= 1"));
     assert!(run(&["--task-deadline", "0", "fig7"]).contains("--task-deadline requires"));
+    // `--sharing` picks the fabric's allocator: only `auto`/`filling`,
+    // and only together with `--net` (the disk pools have no knob).
+    assert!(run(&["--net", "--sharing", "analytic", "fig7"])
+        .contains("--sharing requires one of: auto filling"));
+    assert!(run(&["--sharing", "filling", "fig7"]).contains("needs --net"));
+    assert!(run(&["--disk", "--sharing", "auto", "fig7"]).contains("needs --net"));
     assert!(run(&["--resume", "/nonexistent/dir/x.journal", "fig7"])
         .contains("error: cannot read resume journal"));
 

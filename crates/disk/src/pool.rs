@@ -5,11 +5,11 @@
 //! read and write channels. Secondary (harvested) streams on a channel
 //! split its bandwidth equally — the max-min fair allocation for
 //! single-resource flows — after the primary tenant's demand and the
-//! [`crate::ThrottlePolicy`] have taken their cut. Whenever a channel's
-//! stream set or its primary demand changes, the channel's rates are
-//! re-divided and every affected stream's completion re-predicted;
-//! stale completion events are recognized by version stamps exactly as
-//! in `harvest_net::fabric`.
+//! [`crate::ThrottlePolicy`] have taken their cut. Every stream touches
+//! exactly one channel, so each channel is a single-bottleneck
+//! resource, and each occupied channel is served by a [`FairShare`]
+//! engine: a virtual fair-work clock plus a completion-ordered heap,
+//! with one live completion event per channel for its next finisher.
 //!
 //! Primary I/O is not simulated as individual operations: it is a
 //! bandwidth reservation derived from the utilization playback through
@@ -22,40 +22,19 @@
 //!
 //! # Cost model
 //!
-//! Sharing runs as a three-tier scheme, fastest tier first:
-//!
-//! * **Analytic** (the default, [`SharingMode::Auto`]) — each occupied
-//!   channel is served by a [`FairShare`] engine: a virtual fair-work
-//!   clock plus a completion-ordered heap, so a stream start, finish,
-//!   or capacity change costs O(log n) in the channel's occupancy
-//!   instead of re-predicting every stream. Disk channels are
-//!   single-bottleneck *by construction* (every stream saturates
-//!   exactly one channel), so unlike `harvest_net::fabric` no
-//!   classifier is needed and the engine is adopted wholesale; fault
-//!   capacity changes (brown-outs, throttle transitions) stay on the
-//!   analytic path via [`FairShare::set_capacity`], and a fully parked
-//!   channel keeps one far-future placeholder event (the filling
-//!   tier's parked-completion idiom) until the restoring re-share
-//!   rescues it. Per-stream rates are the very `capacity / n` division
-//!   the filling tier performs, so rates agree **bitwise** with the
-//!   tiers below; completion times re-associate the float arithmetic
-//!   (see the `harvest_sim::fairshare` docs), which can drift by ulps —
-//!   integer-millisecond time virtually never surfaces it, and the
-//!   oracle tests pin rates bitwise and completion schedules at full
-//!   `SimTime` resolution.
-//! * **Channel filling** ([`SharingMode::Filling`]) — the reference
-//!   equal-split recompute, linear in the touched channel's occupancy:
-//!   only streams whose rate actually changes are advanced (lazily,
-//!   from their own `last_update` stamp) and re-predicted; a superseded
-//!   completion event is *cancelled* in the queue rather than left to
-//!   fire stale, so the event heap stays O(active + scheduled) instead
-//!   of O(re-shares × streams). Switching modes mid-run migrates the
-//!   engine state back to per-stream predictions exactly.
-//! * **Global reference** ([`ReshareScope::Global`]) — re-shares every
-//!   channel on every event, and implies the filling tier (the global
-//!   reference *is* progressive filling). Bitwise identical to
-//!   channel-scoped filling (channels are independent resources),
-//!   pinned by the oracle property tests.
+//! A stream start, finish, or abort, and a change of a channel's
+//! secondary capacity (a throttle transition, a brown-out), costs
+//! O(log n) in the channel's occupancy and touches no other channel.
+//! The per-stream rate is the engine's `capacity / n` division, so
+//! every stream on a channel gets bitwise the same equal split; a
+//! capacity change settles work delivered so far at the old rate
+//! ([`FairShare::set_capacity`]). A fully throttled channel keeps one
+//! far-future placeholder completion until the re-share that restores
+//! its capacity cancels it, so [`DiskPool::next_event_time`] stays
+//! `Some` while any stream is in flight. The max-min oracle in the
+//! workspace's `tests/oracle` checks the pool from outside: after every
+//! event every rate must be the test's own `secondary_capacity / n`,
+//! and completions must match the oracle's fluid replay.
 //!
 //! Everything is exact integer time plus deterministic `f64`
 //! arithmetic over deterministically ordered collections, so a replay
@@ -73,23 +52,11 @@ use std::collections::{BTreeMap, BTreeSet};
 use harvest_cluster::ServerId;
 use harvest_signal::classify::UtilizationPattern;
 use harvest_sim::engine::{EventKey, EventQueue};
-use harvest_sim::fairshare::{FairShare, SharingMode};
+use harvest_sim::fairshare::FairShare;
 use harvest_sim::obs::{CounterId, GaugeId, HistogramId, Recorder, StateTrackId, TrackId};
 use harvest_sim::{SimDuration, SimTime};
 
 use crate::config::DiskConfig;
-
-/// How much of the pool a re-share recomputes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ReshareScope {
-    /// Re-share only the channel the event landed on (the default).
-    #[default]
-    Channel,
-    /// Re-share every channel on every event — the reference global
-    /// recompute. Bitwise identical to `Channel` (channels share no
-    /// state); kept for validation and benchmarking.
-    Global,
-}
 
 /// Identifies a stream within a pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -123,30 +90,12 @@ pub struct StreamCompletion {
     pub dir: IoDir,
 }
 
-/// One in-flight secondary I/O stream.
-///
-/// While the stream's channel is served by the analytic tier, the
-/// channel's [`FairShare`] engine is the source of truth: `remaining`,
-/// `rate` and `last_update` are stale (settled at promotion time),
-/// `version` is frozen, and `pending` is `None` — the group holds the
-/// channel's single completion event instead. Migrating back to the
-/// filling tier rematerializes all of them exactly.
+/// One in-flight secondary I/O stream. Its progress and rate live in
+/// its channel's [`FairShare`] engine.
 #[derive(Debug, Clone)]
 struct Stream {
     tag: u64,
     bytes: u64,
-    /// Bytes left as of `last_update` (plus the folded-in seek bytes).
-    remaining: f64,
-    /// Current allocation in bytes/s.
-    rate: f64,
-    /// Bumped whenever the rate changes; completion events carry the
-    /// version they were predicted under.
-    version: u64,
-    /// When `remaining` was last advanced. Streams advance lazily —
-    /// only at rate changes.
-    last_update: SimTime,
-    /// The stream's live completion event, cancelled when superseded.
-    pending: Option<EventKey>,
     started: SimTime,
     chan: u32,
 }
@@ -163,7 +112,7 @@ struct PendingStream {
 #[derive(Debug)]
 enum DiskEvent {
     Start(StreamId),
-    Complete(StreamId, u64),
+    Complete(StreamId),
 }
 
 /// One direction of one disk: its active streams.
@@ -182,12 +131,13 @@ pub struct DiskStats {
     pub bytes_moved: u64,
     /// High-water mark of concurrently active streams, pool-wide.
     pub peak_active: usize,
-    /// Channel re-share passes run.
+    /// Allocation passes run: a start, finish, abort, or capacity
+    /// change on an occupied channel.
     pub reshares: u64,
     /// Superseded completion events dropped — cancelled in the queue
-    /// when a re-share re-predicted the stream, or (defensively)
-    /// recognized stale by version at fire time, plus cancels that
-    /// found nothing to cancel (fault-driven mass cancellation).
+    /// when a re-share re-predicted the channel, or (defensively) found
+    /// stale at fire time, plus cancels that found nothing to cancel
+    /// (fault-driven mass cancellation).
     pub stale_events_dropped: u64,
     /// Streams aborted by fault injection (disk death or a caller
     /// tearing down a doomed transfer) before completion.
@@ -195,22 +145,22 @@ pub struct DiskStats {
     /// High-water mark of the event heap (including not-yet-collected
     /// tombstones).
     pub peak_queue_len: usize,
-    /// Channels promoted onto the analytic sharing tier (counting
-    /// re-promotions after a channel drains and refills).
+    /// Channel engines opened: a channel's first stream opens one, and
+    /// a channel that drains and refills opens another.
     pub analytic_channels: u64,
-    /// Completions served by the analytic engine in O(log n).
+    /// Completions served by the channel engines in O(log n).
     pub analytic_events: u64,
 }
 
-/// How far in the future a starved stream's completion is parked by
-/// the filling tier; a later re-share rescues it. (The analytic tier
-/// parks by scheduling nothing at all — same rescue.)
+/// How far in the future a fully throttled channel parks its
+/// placeholder completion; the re-share that restores its capacity
+/// cancels it.
 const PARKED: SimDuration = SimDuration::from_days(365_000);
 
-/// One channel's analytic sharing state: the [`FairShare`] engine plus
-/// the channel's single live completion event (for the engine's next
-/// finisher, carrying that stream's frozen version). `event` is `None`
-/// while the channel is fully parked (zero secondary capacity).
+/// One occupied channel's sharing state: the [`FairShare`] engine plus
+/// the channel's single live completion event, for the engine's next
+/// finisher (or the [`PARKED`] placeholder while the channel has no
+/// secondary capacity).
 #[derive(Debug)]
 struct ChanGroup {
     engine: FairShare,
@@ -245,14 +195,8 @@ pub struct DiskPool {
     queue: EventQueue<DiskEvent>,
     pending: BTreeMap<u64, PendingStream>,
     active: BTreeMap<u64, Stream>,
-    scope: ReshareScope,
-    mode: SharingMode,
-    /// Analytic engine per occupied channel — populated only while an
-    /// analytic [`SharingMode`] is in force with channel scope.
+    /// The engine of every occupied channel.
     groups: BTreeMap<u32, ChanGroup>,
-    /// High-water mark of simulation time the pool has been driven to;
-    /// the "now" used by control-plane switches that take none.
-    clock: SimTime,
     next_id: u64,
     stats: DiskStats,
     completions: Vec<StreamCompletion>,
@@ -323,10 +267,7 @@ impl DiskPool {
             queue: EventQueue::new(),
             pending: BTreeMap::new(),
             active: BTreeMap::new(),
-            scope: ReshareScope::Channel,
-            mode: SharingMode::default(),
             groups: BTreeMap::new(),
-            clock: SimTime::ZERO,
             next_id: 0,
             stats: DiskStats::default(),
             completions: Vec::new(),
@@ -382,51 +323,6 @@ impl DiskPool {
         std::mem::take(&mut self.rec)
     }
 
-    /// The re-share scope in force.
-    pub fn reshare_scope(&self) -> ReshareScope {
-        self.scope
-    }
-
-    /// Switches the re-share scope. Safe at any point — the filling
-    /// tiers produce bitwise-identical trajectories and the analytic
-    /// tier matches them exactly — but `Global` exists for validation,
-    /// not production use. `Global` implies the filling reference, so
-    /// any analytic channel state is migrated back to per-stream
-    /// predictions first.
-    pub fn set_reshare_scope(&mut self, scope: ReshareScope) {
-        if scope == self.scope {
-            return;
-        }
-        self.scope = scope;
-        if scope == ReshareScope::Global {
-            self.dissolve_all();
-        }
-    }
-
-    /// The sharing mode in force.
-    pub fn sharing_mode(&self) -> SharingMode {
-        self.mode
-    }
-
-    /// Switches the sharing engine. Leaving the analytic tier migrates
-    /// every channel's engine state back to per-stream filling
-    /// predictions exactly; entering it promotes channels lazily, each
-    /// on its next event.
-    pub fn set_sharing_mode(&mut self, mode: SharingMode) {
-        if mode == self.mode {
-            return;
-        }
-        self.mode = mode;
-        if !mode.analytic_allowed() {
-            self.dissolve_all();
-        }
-    }
-
-    /// Whether the analytic tier may serve channels right now.
-    fn analytic_on(&self) -> bool {
-        self.mode.analytic_allowed() && self.scope == ReshareScope::Channel
-    }
-
     /// Number of disks.
     pub fn n_disks(&self) -> usize {
         self.patterns.len()
@@ -457,24 +353,9 @@ impl DiskPool {
         self.active.get(&stream.0).map(|s| self.rate_of(s))
     }
 
-    /// A stream's live allocation, whichever tier serves its channel.
+    /// A stream's live allocation: its channel engine's equal split.
     fn rate_of(&self, s: &Stream) -> f64 {
-        match self.groups.get(&s.chan) {
-            Some(g) => g.engine.rate(),
-            None => s.rate,
-        }
-    }
-
-    /// The re-prediction version of an active stream — bumped whenever
-    /// a filling re-share changes its rate. Streams on untouched
-    /// channels keep their version (and their scheduled completion
-    /// event) across unrelated starts/finishes; tests pin that. While
-    /// a channel is served by the analytic tier its streams' versions
-    /// are *frozen* (the group's single event carries the next
-    /// finisher's frozen version), so version-probing oracles pin
-    /// [`SharingMode::Filling`].
-    pub fn stream_version(&self, stream: StreamId) -> Option<u64> {
-        self.active.get(&stream.0).map(|s| s.version)
+        self.groups[&s.chan].engine.rate()
     }
 
     /// Ids of the currently active streams, ascending.
@@ -545,7 +426,6 @@ impl DiskPool {
     /// never runs backwards); utilization playback naturally satisfies
     /// this by updating on its sample grid.
     pub fn set_primary_util(&mut self, now: SimTime, server: ServerId, util: f64) {
-        self.clock = self.clock.max(now);
         if util == self.primary_util[server.0 as usize] {
             return;
         }
@@ -563,7 +443,7 @@ impl DiskPool {
         }
         self.primary_fraction[server.0 as usize] = fraction;
         for dir in [IoDir::Read, IoDir::Write] {
-            self.reshare_scoped(chan(server, dir), now);
+            self.sync_channel(chan(server, dir), now);
         }
     }
 
@@ -623,10 +503,9 @@ impl DiskPool {
                 break;
             }
             let (now, ev) = self.queue.pop().expect("peeked");
-            self.clock = self.clock.max(now);
             match ev {
                 DiskEvent::Start(id) => self.on_start(id, now),
-                DiskEvent::Complete(id, version) => self.on_complete(id, version, now),
+                DiskEvent::Complete(id) => self.on_complete(id, now),
             }
         }
         self.sync_dead_cancels();
@@ -661,13 +540,12 @@ impl DiskPool {
             factor.is_finite() && factor >= 0.0,
             "degrade factor must be finite and non-negative, got {factor}"
         );
-        self.clock = self.clock.max(now);
         if factor == self.degrade[server.0 as usize] {
             return;
         }
         self.degrade[server.0 as usize] = factor;
         for dir in [IoDir::Read, IoDir::Write] {
-            self.reshare_scoped(chan(server, dir), now);
+            self.sync_channel(chan(server, dir), now);
         }
     }
 
@@ -677,7 +555,6 @@ impl DiskPool {
     /// replaced-disk model); combine with [`DiskPool::set_degrade`] to
     /// model a dead-until-restored disk.
     pub fn fail_server(&mut self, now: SimTime, server: ServerId) -> Vec<u64> {
-        self.clock = self.clock.max(now);
         let mut ids: Vec<u64> = Vec::new();
         for dir in [IoDir::Read, IoDir::Write] {
             ids.extend(&self.channels[chan(server, dir) as usize].streams);
@@ -686,7 +563,7 @@ impl DiskPool {
         for id in ids {
             if let Some((tag, c)) = self.abort_active(StreamId(id), now) {
                 tags.push(tag);
-                self.reshare_scoped(c, now);
+                self.sync_channel(c, now);
             }
         }
         let pend: Vec<u64> = self
@@ -712,7 +589,6 @@ impl DiskPool {
         now: SimTime,
         tags: &std::collections::HashSet<u64>,
     ) -> usize {
-        self.clock = self.clock.max(now);
         let ids: Vec<u64> = self
             .active
             .iter()
@@ -723,7 +599,7 @@ impl DiskPool {
         for id in ids {
             if let Some((_, c)) = self.abort_active(StreamId(id), now) {
                 n += 1;
-                self.reshare_scoped(c, now);
+                self.sync_channel(c, now);
             }
         }
         let pend: Vec<u64> = self
@@ -748,14 +624,16 @@ impl DiskPool {
     fn abort_active(&mut self, id: StreamId, now: SimTime) -> Option<(u64, u32)> {
         let stream = self.active.remove(&id.0)?;
         let c = stream.chan;
-        if let Some(g) = self.groups.get_mut(&c) {
-            g.engine.remove(now, id.0);
-            // The group's one event may predict this very stream; the
-            // caller's re-share re-predicts (or retires) the group.
-            if let Some(key) = g.event.take() {
-                if self.queue.cancel(key) {
-                    self.stats.stale_events_dropped += 1;
-                }
+        let g = self
+            .groups
+            .get_mut(&c)
+            .expect("occupied channel has an engine");
+        g.engine.remove(now, id.0);
+        // The group's one event may predict this very stream; the
+        // caller's re-share re-predicts (or retires) the group.
+        if let Some(key) = g.event.take() {
+            if self.queue.cancel(key) {
+                self.stats.stale_events_dropped += 1;
             }
         }
         let list = &mut self.channels[c as usize].streams;
@@ -766,11 +644,6 @@ impl DiskPool {
         *per_server -= 1;
         if *per_server == 0 {
             self.active_servers.remove(&server.0);
-        }
-        if let Some(key) = stream.pending {
-            if self.queue.cancel(key) {
-                self.stats.stale_events_dropped += 1;
-            }
         }
         self.stats.streams_aborted += 1;
         if let Some(obs) = &self.obs {
@@ -801,11 +674,6 @@ impl DiskPool {
             Stream {
                 tag: p.tag,
                 bytes: p.bytes,
-                remaining: p.bytes as f64 + seek_bytes,
-                rate: 0.0,
-                version: 0,
-                last_update: now,
-                pending: None,
                 started: now,
                 chan: c,
             },
@@ -820,313 +688,39 @@ impl DiskPool {
         if let Some(obs) = &self.obs {
             self.rec.state_enter(obs.states, id.0, "running", now);
         }
-        if self.analytic_on() {
-            if self.groups.contains_key(&c) {
-                self.enroll_one(c, id.0, now);
-            } else {
-                self.promote_channel(c, now);
+        let capacity = self.secondary_capacity(p.server, p.dir);
+        let stats = &mut self.stats;
+        let g = self.groups.entry(c).or_insert_with(|| {
+            stats.analytic_channels += 1;
+            ChanGroup {
+                engine: FairShare::new(capacity, now),
+                event: None,
             }
-        } else {
-            self.reshare_scoped(c, now);
+        });
+        g.engine.insert(now, id.0, p.bytes as f64 + seek_bytes);
+        let (n, rate) = (g.engine.n(), g.engine.rate());
+        if rate == 0.0 {
+            self.park_obs(id.0, now);
         }
+        self.alloc_pass_obs(n, now);
+        self.repredict_group(c, now);
     }
 
-    fn on_complete(&mut self, id: StreamId, version: u64, now: SimTime) {
-        let stale = match self.active.get(&id.0) {
-            Some(s) => s.version != version,
-            None => true,
-        };
-        if stale {
+    /// Serves a channel's completion event in O(log n): retire the
+    /// engine's finisher, book the completion, re-predict the channel's
+    /// next event.
+    fn on_complete(&mut self, id: StreamId, now: SimTime) {
+        let Some(stream) = self.active.remove(&id.0) else {
             // Defensive: superseded events are cancelled at re-predict
             // time, so a stale fire indicates a missed cancellation.
             self.stats.stale_events_dropped += 1;
             return;
-        }
-        let c = self.active[&id.0].chan;
-        if self.groups.contains_key(&c) {
-            self.on_analytic_complete(id, now);
-            return;
-        }
-        let stream = self.active.remove(&id.0).expect("checked above");
-        let list = &mut self.channels[c as usize].streams;
-        let pos = list.iter().position(|&s| s == id.0).expect("on channel");
-        list.remove(pos);
-        let (server, dir) = unchan(c);
-        let per_server = &mut self.streams_per_server[server.0 as usize];
-        *per_server -= 1;
-        if *per_server == 0 {
-            self.active_servers.remove(&server.0);
-        }
-        self.stats.completed += 1;
-        self.stats.bytes_moved += stream.bytes;
-        if let Some(obs) = &self.obs {
-            self.rec
-                .observe(obs.stream_secs, now.since(stream.started).as_secs_f64());
-            self.rec.state_exit(obs.states, id.0, now);
-            self.rec.span_args(
-                obs.track,
-                "stream",
-                stream.started,
-                now,
-                &[("bytes", stream.bytes as f64)],
-            );
-        }
-        self.completions.push(StreamCompletion {
-            stream: id,
-            at: now,
-            tag: stream.tag,
-            bytes: stream.bytes,
-            started: stream.started,
-            server,
-            dir,
-        });
-        self.reshare_scoped(c, now);
-    }
-
-    /// Re-shares the touched channel through whichever tier serves it.
-    /// Under an analytic mode (with channel scope) this syncs the
-    /// channel's engine; otherwise it runs the filling recompute — for
-    /// the touched channel, or under [`ReshareScope::Global`] every
-    /// channel in index order (the reference recompute; untouched
-    /// channels' rates come out bitwise unchanged and are skipped, so
-    /// the trajectories are identical).
-    fn reshare_scoped(&mut self, c: u32, now: SimTime) {
-        if self.analytic_on() {
-            self.sync_channel(c, now);
-            return;
-        }
-        match self.scope {
-            ReshareScope::Channel => self.reshare_channel(c, now),
-            ReshareScope::Global => {
-                for ch in 0..self.channels.len() as u32 {
-                    self.reshare_channel(ch, now);
-                }
-            }
-        }
-    }
-
-    /// Recomputes the channel's equal-share rates and re-predicts its
-    /// streams' completions. Equal split of the secondary bandwidth is
-    /// the max-min fair allocation here because every stream demands as
-    /// much as it can get and touches exactly one channel.
-    fn reshare_channel(&mut self, c: u32, now: SimTime) {
-        if self.channels[c as usize].streams.is_empty() {
-            // An empty channel has nothing to re-divide; skipping it
-            // before the counter keeps `DiskStats.reshares` a count of
-            // *allocation* passes, identical however many idle disks a
-            // sweep policy happens to visit (the tick-sweep oracle
-            // pins full vs. incremental sweeps bitwise, stats included).
-            return;
-        }
-        self.stats.reshares += 1;
-        let (server, dir) = unchan(c);
-        let rate =
-            self.secondary_capacity(server, dir) / self.channels[c as usize].streams.len() as f64;
-        let channel = &self.channels[c as usize];
-        let active = &mut self.active;
-        let queue = &mut self.queue;
-        let stats = &mut self.stats;
-        let rec = &mut self.rec;
-        let obs = self.obs.as_ref();
-        if let Some(obs) = obs {
-            rec.observe(obs.reshare_streams, channel.streams.len() as f64);
-            rec.gauge_at(obs.queue_len, now, queue.len() as f64);
-            rec.gauge_at(obs.tombstones, now, queue.n_stale() as f64);
-        }
-        for id in &channel.streams {
-            let s = active.get_mut(id).expect("active");
-            // A stream whose rate is bitwise-unchanged keeps its pending
-            // Complete event: its `remaining` hasn't been advanced since
-            // that event was predicted, so the predicted completion is
-            // still exact. A changed stream is advanced lazily — one
-            // multiply covering the whole span since its own last
-            // change — and its superseded event is cancelled.
-            if s.version > 0 && rate == s.rate {
-                continue;
-            }
-            // Captured before the assignment below: the guard above
-            // means reaching here with an old rate of zero is exactly
-            // the throttled→running rescue transition.
-            let was_parked = s.version > 0 && s.rate == 0.0;
-            let dt = now.since(s.last_update).as_secs_f64();
-            if dt > 0.0 {
-                s.remaining = (s.remaining - s.rate * dt).max(0.0);
-            }
-            s.last_update = now;
-            if let Some(key) = s.pending.take() {
-                if queue.cancel(key) {
-                    stats.stale_events_dropped += 1;
-                }
-            }
-            s.rate = rate;
-            s.version += 1;
-            let eta = if s.rate > 0.0 {
-                if let (true, Some(obs)) = (was_parked, obs) {
-                    rec.state_enter(obs.states, *id, "running", now);
-                }
-                SimDuration::from_secs_f64(s.remaining / s.rate)
-            } else {
-                // Fully throttled: park the completion; the re-share
-                // when the primary backs off rescues it.
-                if let Some(obs) = obs {
-                    rec.add(obs.parks, 1);
-                    rec.instant(obs.track, "park", now);
-                    rec.state_enter(obs.states, *id, "throttle_parked", now);
-                }
-                PARKED
-            };
-            s.pending =
-                Some(queue.push_keyed(now + eta, DiskEvent::Complete(StreamId(*id), s.version)));
-            stats.peak_queue_len = stats.peak_queue_len.max(queue.len());
-        }
-    }
-
-    /// Enrolls a just-started stream into its channel's existing
-    /// analytic engine — O(log n) instead of a full re-predict pass.
-    fn enroll_one(&mut self, c: u32, id: u64, now: SimTime) {
-        let remaining = self.active[&id].remaining;
-        let g = self.groups.get_mut(&c).expect("caller checked");
-        g.engine.insert(now, id, remaining);
-        let n = g.engine.n();
-        if g.engine.rate() == 0.0 {
-            self.park_obs(id, now);
-        }
-        self.alloc_pass_obs(n, now);
-        self.repredict_group(c, now);
-    }
-
-    /// Puts a channel on the analytic tier: cancels every stream's
-    /// individual prediction, settles remaining work to `now`, and
-    /// enrolls the channel into a fresh engine. The engine's uniform
-    /// rate is the same `capacity / n` division the filling tier would
-    /// compute, so promotion is invisible in the trajectory.
-    fn promote_channel(&mut self, c: u32, now: SimTime) {
-        let (server, dir) = unchan(c);
-        let cap = self.secondary_capacity(server, dir);
-        let mut engine = FairShare::new(cap, now);
-        let ids = self.channels[c as usize].streams.clone();
-        for &id in &ids {
-            let s = self.active.get_mut(&id).expect("on channel");
-            let dt = now.since(s.last_update).as_secs_f64();
-            if dt > 0.0 {
-                s.remaining = (s.remaining - s.rate * dt).max(0.0);
-            }
-            s.last_update = now;
-            if let Some(key) = s.pending.take() {
-                if self.queue.cancel(key) {
-                    self.stats.stale_events_dropped += 1;
-                }
-            }
-            engine.insert(now, id, s.remaining);
-        }
-        // Throttle transitions across the promotion itself: a stream
-        // whose old filling rate disagrees with the engine's park state
-        // changes obs state here. (A just-started stream has version 0
-        // and no park on record yet.)
-        let rate = engine.rate();
-        for &id in &ids {
-            let (version, old_rate) = {
-                let s = &self.active[&id];
-                (s.version, s.rate)
-            };
-            let was_parked = version > 0 && old_rate == 0.0;
-            if rate == 0.0 && !was_parked {
-                self.park_obs(id, now);
-            } else if rate > 0.0 && was_parked {
-                if let Some(obs) = &self.obs {
-                    self.rec.state_enter(obs.states, id, "running", now);
-                }
-            }
-        }
-        self.groups.insert(
-            c,
-            ChanGroup {
-                engine,
-                event: None,
-            },
-        );
-        self.stats.analytic_channels += 1;
-        self.alloc_pass_obs(ids.len(), now);
-        self.repredict_group(c, now);
-    }
-
-    /// Brings an analytic channel current after a membership or
-    /// capacity change: refreshes the engine's capacity (throttle,
-    /// brown-out), records park/rescue transitions, and re-predicts
-    /// the group's single completion event. Promotes or retires the
-    /// channel's engine as the channel fills or empties.
-    fn sync_channel(&mut self, c: u32, now: SimTime) {
-        if self.channels[c as usize].streams.is_empty() {
-            if let Some(mut g) = self.groups.remove(&c) {
-                if let Some(key) = g.event.take() {
-                    if self.queue.cancel(key) {
-                        self.stats.stale_events_dropped += 1;
-                    }
-                }
-            }
-            return;
-        }
-        if !self.groups.contains_key(&c) {
-            self.promote_channel(c, now);
-            return;
-        }
-        let (server, dir) = unchan(c);
-        let cap = self.secondary_capacity(server, dir);
-        let g = self.groups.get_mut(&c).expect("checked above");
-        let was = g.engine.rate();
-        g.engine.set_capacity(now, cap);
-        let rate = g.engine.rate();
-        let n = g.engine.n();
-        if (was == 0.0) != (rate == 0.0) {
-            let ids: Vec<u64> = g.engine.members().map(|(id, _)| id).collect();
-            for id in ids {
-                if rate == 0.0 {
-                    self.park_obs(id, now);
-                } else if let Some(obs) = &self.obs {
-                    self.rec.state_enter(obs.states, id, "running", now);
-                }
-            }
-        }
-        self.alloc_pass_obs(n, now);
-        self.repredict_group(c, now);
-    }
-
-    /// Re-predicts a group's single completion event from the engine's
-    /// next finisher. A parked group (zero rate) keeps one far-future
-    /// [`PARKED`] event on its lowest-id member — mirroring the filling
-    /// tier, so [`DiskPool::next_event_time`] stays `Some` while any
-    /// stream is in flight — until the capacity-restoring re-share
-    /// rescues it (cancelling the placeholder like any superseded
-    /// prediction).
-    fn repredict_group(&mut self, c: u32, now: SimTime) {
-        let g = self.groups.get_mut(&c).expect("group exists");
-        if let Some(key) = g.event.take() {
-            if self.queue.cancel(key) {
-                self.stats.stale_events_dropped += 1;
-            }
-        }
-        let (top, eta) = match g.engine.peek(now) {
-            Some((top, eta)) => (top, SimDuration::from_secs_f64(eta)),
-            None => match g.engine.members().map(|(id, _)| id).min() {
-                Some(top) => (top, PARKED),
-                None => return,
-            },
         };
-        let version = self.active[&top].version;
-        g.event = Some(
-            self.queue
-                .push_keyed(now + eta, DiskEvent::Complete(StreamId(top), version)),
-        );
-        self.stats.peak_queue_len = self.stats.peak_queue_len.max(self.queue.len());
-    }
-
-    /// Completion served by the analytic tier in O(log n): pop the
-    /// engine's finisher, book the completion, re-predict the group's
-    /// next event.
-    fn on_analytic_complete(&mut self, id: StreamId, now: SimTime) {
-        let stream = self.active.remove(&id.0).expect("caller checked");
         let c = stream.chan;
-        let g = self.groups.get_mut(&c).expect("caller checked");
+        let g = self
+            .groups
+            .get_mut(&c)
+            .expect("occupied channel has an engine");
         // This is the group's one live event firing; superseded group
         // events are cancelled at re-predict time, never left to fire.
         g.event = None;
@@ -1174,52 +768,74 @@ impl DiskPool {
         }
     }
 
-    /// Migrates one channel's engine state back to per-stream filling
-    /// predictions exactly: remaining work settled under the engine's
-    /// clock, the uniform rate, fresh versioned completion events
-    /// (far-future parked events for a fully throttled channel).
-    fn dissolve_group(&mut self, c: u32, now: SimTime) {
-        let Some(mut g) = self.groups.remove(&c) else {
+    /// Brings a channel current after a capacity change (throttle,
+    /// brown-out) or an abort: refreshes the engine's capacity, records
+    /// park/rescue transitions, and re-predicts the channel's single
+    /// completion event. Retires the engine of a channel left empty.
+    fn sync_channel(&mut self, c: u32, now: SimTime) {
+        if self.channels[c as usize].streams.is_empty() {
+            if let Some(mut g) = self.groups.remove(&c) {
+                if let Some(key) = g.event.take() {
+                    if self.queue.cancel(key) {
+                        self.stats.stale_events_dropped += 1;
+                    }
+                }
+            }
             return;
-        };
+        }
+        let (server, dir) = unchan(c);
+        let cap = self.secondary_capacity(server, dir);
+        let g = self
+            .groups
+            .get_mut(&c)
+            .expect("occupied channel has an engine");
+        let was = g.engine.rate();
+        g.engine.set_capacity(now, cap);
+        let rate = g.engine.rate();
+        let n = g.engine.n();
+        if (was == 0.0) != (rate == 0.0) {
+            let ids: Vec<u64> = g.engine.members().map(|(id, _)| id).collect();
+            for id in ids {
+                if rate == 0.0 {
+                    self.park_obs(id, now);
+                } else if let Some(obs) = &self.obs {
+                    self.rec.state_enter(obs.states, id, "running", now);
+                }
+            }
+        }
+        self.alloc_pass_obs(n, now);
+        self.repredict_group(c, now);
+    }
+
+    /// Re-predicts a channel's single completion event from the
+    /// engine's next finisher. A parked channel (zero rate) keeps one
+    /// far-future [`PARKED`] event on its lowest-id member, so
+    /// [`DiskPool::next_event_time`] stays `Some` while any stream is in
+    /// flight, until the capacity-restoring re-share rescues it
+    /// (cancelling the placeholder like any superseded prediction).
+    fn repredict_group(&mut self, c: u32, now: SimTime) {
+        let g = self.groups.get_mut(&c).expect("group exists");
         if let Some(key) = g.event.take() {
             if self.queue.cancel(key) {
                 self.stats.stale_events_dropped += 1;
             }
         }
-        g.engine.advance(now);
-        let rate = g.engine.rate();
-        for (id, remaining) in g.engine.members() {
-            let s = self.active.get_mut(&id).expect("enrolled member");
-            s.remaining = remaining;
-            s.rate = rate;
-            s.last_update = now;
-            s.version += 1;
-            let eta = if rate > 0.0 {
-                SimDuration::from_secs_f64(remaining / rate)
-            } else {
-                PARKED
-            };
-            s.pending = Some(
-                self.queue
-                    .push_keyed(now + eta, DiskEvent::Complete(StreamId(id), s.version)),
-            );
-            self.stats.peak_queue_len = self.stats.peak_queue_len.max(self.queue.len());
-        }
+        let (top, eta) = match g.engine.peek(now) {
+            Some((top, eta)) => (top, SimDuration::from_secs_f64(eta)),
+            None => match g.engine.members().map(|(id, _)| id).min() {
+                Some(top) => (top, PARKED),
+                None => return,
+            },
+        };
+        g.event = Some(
+            self.queue
+                .push_keyed(now + eta, DiskEvent::Complete(StreamId(top))),
+        );
+        self.stats.peak_queue_len = self.stats.peak_queue_len.max(self.queue.len());
     }
 
-    /// Migrates every analytic channel back to the filling tier, at
-    /// the pool's time high-water mark.
-    fn dissolve_all(&mut self) {
-        let cs: Vec<u32> = self.groups.keys().copied().collect();
-        for c in cs {
-            self.dissolve_group(c, self.clock);
-        }
-    }
-
-    /// Counts one analytic allocation pass, mirroring the filling
-    /// tier's per-re-share bookkeeping so [`DiskStats::reshares`]
-    /// stays a count of allocation passes whichever tier served them.
+    /// Counts one allocation pass ([`DiskStats::reshares`]) and samples
+    /// the pass's observability gauges.
     fn alloc_pass_obs(&mut self, n_streams: usize, now: SimTime) {
         self.stats.reshares += 1;
         if let Some(obs) = &self.obs {
@@ -1260,6 +876,12 @@ fn unchan(c: u32) -> (ServerId, IoDir) {
     )
 }
 
+/// The workspace's independent max-min oracle (plain `std` code that
+/// shares nothing with this module).
+#[cfg(test)]
+#[path = "../../../tests/oracle/mod.rs"]
+mod oracle;
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1270,6 +892,87 @@ mod tests {
 
     fn pool() -> DiskPool {
         DiskPool::new(4, &DiskConfig::datacenter())
+    }
+
+    /// The oracle's resource index of a channel.
+    fn channel_index(server: ServerId, dir: IoDir) -> usize {
+        2 * server.0 as usize + usize::from(dir == IoDir::Write)
+    }
+
+    /// Every channel's secondary capacity, as the oracle's resources.
+    fn capacities(p: &DiskPool) -> Vec<f64> {
+        (0..p.n_disks() as u32)
+            .flat_map(|s| [IoDir::Read, IoDir::Write].map(|d| p.secondary_capacity(ServerId(s), d)))
+            .collect()
+    }
+
+    /// Checks the pool against the max-min oracle: every stream runs at
+    /// bitwise the test's own `secondary_capacity / n` for its channel,
+    /// and the allocation passes the certificate over every channel.
+    fn check_against_oracle(p: &DiskPool) {
+        let mut paths = Vec::new();
+        let mut rates = Vec::new();
+        for id in p.active_stream_ids() {
+            let (server, dir) = p.stream_channel(id).unwrap();
+            let rate = p.stream_rate(id).unwrap();
+            let split = p.secondary_capacity(server, dir) / p.channel_streams(server, dir) as f64;
+            assert_eq!(rate.to_bits(), split.to_bits(), "{id:?}: {rate} vs {split}");
+            paths.push(vec![channel_index(server, dir)]);
+            rates.push(rate);
+        }
+        oracle::certify(&capacities(p), &paths, &rates).unwrap();
+    }
+
+    /// Pumps `p` event by event up to `until`, checking it against the
+    /// oracle after every event.
+    fn pump_checked(p: &mut DiskPool, until: SimTime) -> Vec<StreamCompletion> {
+        let mut done = Vec::new();
+        while let Some(t) = p.next_event_time().filter(|&t| t <= until) {
+            done.extend(p.pump(t));
+            check_against_oracle(p);
+        }
+        done
+    }
+
+    /// The oracle replay's steps for a change of `server`'s capacity.
+    fn capacity_steps(p: &DiskPool, server: ServerId, at: u64) -> Vec<(u64, oracle::Step)> {
+        [IoDir::Read, IoDir::Write]
+            .map(|dir| {
+                let resource = channel_index(server, dir);
+                let capacity = p.secondary_capacity(server, dir);
+                let abort = false;
+                (
+                    at,
+                    oracle::Step::Capacity {
+                        resource,
+                        capacity,
+                        abort,
+                    },
+                )
+            })
+            .to_vec()
+    }
+
+    /// Schedules a stream and returns the oracle replay's start step.
+    fn start(
+        p: &mut DiskPool,
+        at: u64,
+        server: ServerId,
+        dir: IoDir,
+        bytes: u64,
+        tag: u64,
+    ) -> (u64, oracle::Step) {
+        p.schedule_stream(SimTime::from_millis(at), server, dir, bytes, tag);
+        let work = bytes as f64 + p.config().seek_ms / 1_000.0 * p.capacity(dir);
+        let path = vec![channel_index(server, dir)];
+        (
+            at,
+            oracle::Step::Start {
+                id: tag,
+                work,
+                path,
+            },
+        )
     }
 
     #[test]
@@ -1362,11 +1065,10 @@ mod tests {
         assert!((600.0..601.0).contains(&at), "rescued at {at}s");
     }
 
-    /// A fully parked analytic channel keeps a far-future placeholder
-    /// event: `next_event_time()` must stay `Some` while any stream is
-    /// in flight, exactly the contract the filling tier provides via
-    /// its parked completions (heartbeat replay in `harvest_dfs`
-    /// drives the pool off `next_event_time` and relies on it).
+    /// A fully parked channel keeps a far-future placeholder event:
+    /// `next_event_time()` must stay `Some` while any stream is in
+    /// flight (heartbeat replay in `harvest_dfs` drives the pool off
+    /// `next_event_time` and relies on it).
     #[test]
     fn parked_analytic_channel_keeps_a_next_event() {
         let mut p = pool();
@@ -1462,30 +1164,32 @@ mod tests {
         assert!(s.peak_queue_len >= 2);
     }
 
-    /// An event on one disk leaves streams on other disks' channels
-    /// with their version (and scheduled completion event) untouched.
+    /// An event on one disk leaves other disks' channels alone: their
+    /// completion event is neither cancelled nor re-pushed
+    /// (`stale_events_dropped` does not move) and their rate holds.
     #[test]
-    fn other_channels_keep_their_event_version() {
-        // Versions are a filling-tier concept (the analytic tier
-        // freezes them), so this oracle pins the filling engine.
+    fn other_channels_keep_their_event() {
         let mut p = pool();
-        p.set_sharing_mode(SharingMode::Filling);
         let bystander = p.schedule_stream(SimTime::ZERO, S0, IoDir::Read, 160 * MB, 1);
         p.pump(SimTime::ZERO);
-        let v0 = p.stream_version(bystander).expect("active");
+        let dropped = p.stats().stale_events_dropped;
+        let rate = p.stream_rate(bystander);
+        let next = p.next_event_time();
         // Unrelated churn on another disk starts and finishes.
         p.schedule_stream(SimTime::from_millis(10), S1, IoDir::Write, 4 * MB, 2);
         p.pump(SimTime::from_millis(500));
         assert_eq!(p.stats().completed, 1, "unrelated stream should be done");
         assert_eq!(
-            p.stream_version(bystander),
-            Some(v0),
-            "stream on an untouched channel was re-predicted"
+            p.stats().stale_events_dropped,
+            dropped,
+            "an untouched channel's event was cancelled"
         );
-        // Churn on the *same* channel bumps it.
+        assert_eq!(p.stream_rate(bystander), rate);
+        assert_eq!(p.next_event_time(), next, "the bystander's event moved");
+        // Churn on the *same* channel re-predicts it.
         p.schedule_stream(SimTime::from_millis(600), S0, IoDir::Read, 4 * MB, 3);
         p.pump(SimTime::from_millis(600));
-        assert!(p.stream_version(bystander).expect("active") > v0);
+        assert!(p.stats().stale_events_dropped > dropped);
         p.drain();
     }
 
@@ -1509,25 +1213,34 @@ mod tests {
     }
 
     /// A bitwise-unchanged utilization replay is a no-op: no re-share
-    /// runs and in-flight streams keep their completion predictions.
+    /// runs and the in-flight stream keeps its completion event.
     #[test]
     fn unchanged_util_early_outs() {
-        // Version-probing, so pinned to the filling tier; the early-out
-        // itself is mode-independent (it returns before any re-share).
         let mut p = pool();
-        p.set_sharing_mode(SharingMode::Filling);
         p.set_primary_util(SimTime::ZERO, S0, 0.4);
         let s = p.schedule_stream(SimTime::ZERO, S0, IoDir::Read, 160 * MB, 1);
         p.pump(SimTime::ZERO);
-        let v = p.stream_version(s).unwrap();
         let reshares = p.stats().reshares;
+        let dropped = p.stats().stale_events_dropped;
+        let rate = p.stream_rate(s).unwrap();
         // Replaying the same sample must not disturb the stream.
         p.set_primary_util(SimTime::from_millis(100), S0, 0.4);
-        assert_eq!(p.stream_version(s), Some(v), "stream was re-predicted");
         assert_eq!(p.stats().reshares, reshares, "re-share ran needlessly");
+        assert_eq!(
+            p.stats().stale_events_dropped,
+            dropped,
+            "stream was re-predicted"
+        );
+        assert_eq!(p.stream_rate(s), Some(rate));
         // A moved sample still applies.
         p.set_primary_util(SimTime::from_millis(100), S0, 0.6);
-        assert!(p.stream_version(s).unwrap() > v);
+        assert_eq!(
+            p.stats().reshares,
+            reshares + 1,
+            "one pass, for the occupied channel"
+        );
+        assert!(p.stats().stale_events_dropped > dropped);
+        assert!(p.stream_rate(s).unwrap() < rate);
         p.set_primary_util(SimTime::from_millis(200), S0, 0.0);
         p.drain();
     }
@@ -1641,97 +1354,93 @@ mod tests {
         assert!(secs < 0.2, "survivor took {secs}s — bandwidth not released");
     }
 
-    /// Channel scoping and the global reference recompute must agree
-    /// bitwise (the full randomized oracle lives in tests/properties.rs).
+    /// Channel-scoped re-sharing matches the global max-min oracle:
+    /// after every event, every stream on *every* channel runs at
+    /// bitwise the test's own equal split, and the completion schedule
+    /// is the oracle's fluid replay to within a millisecond (the full
+    /// randomized oracle lives in tests/properties.rs).
     #[test]
     fn channel_scope_matches_global_scope() {
-        let run = |scope: ReshareScope| {
-            let mut p = DiskPool::new(8, &DiskConfig::datacenter());
-            // Global implies filling; probe versions, so pin the
-            // channel-scoped run to filling too.
-            p.set_sharing_mode(SharingMode::Filling);
-            p.set_reshare_scope(scope);
-            p.set_primary_util(SimTime::ZERO, ServerId(2), 0.4);
-            for i in 0..30u64 {
-                p.schedule_stream(
-                    SimTime::from_millis(i * 37),
-                    ServerId((i % 8) as u32),
-                    if i % 3 == 0 {
-                        IoDir::Write
-                    } else {
-                        IoDir::Read
-                    },
-                    (i + 1) * 4 * MB,
-                    i,
-                );
-            }
-            p.pump(SimTime::from_millis(700));
-            let probe: Vec<(u64, u64, u64)> = p
-                .active_stream_ids()
-                .iter()
-                .map(|&id| {
-                    (
-                        id.0,
-                        p.stream_rate(id).unwrap().to_bits(),
-                        p.stream_version(id).unwrap(),
-                    )
-                })
-                .collect();
-            let ends: Vec<(u64, SimTime)> = p.drain().into_iter().map(|c| (c.tag, c.at)).collect();
-            (probe, ends)
-        };
-        let chan = run(ReshareScope::Channel);
-        let glob = run(ReshareScope::Global);
-        assert_eq!(chan.0, glob.0, "mid-run rates/versions diverged");
-        assert_eq!(chan.1, glob.1, "completion schedules diverged");
+        let mut p = DiskPool::new(8, &DiskConfig::datacenter());
+        let initial = capacities(&p);
+        p.set_primary_util(SimTime::ZERO, ServerId(2), 0.4);
+        let mut steps = capacity_steps(&p, ServerId(2), 0);
+        for i in 0..30u64 {
+            let dir = if i % 3 == 0 {
+                IoDir::Write
+            } else {
+                IoDir::Read
+            };
+            let server = ServerId((i % 8) as u32);
+            steps.push(start(&mut p, i * 37, server, dir, (i + 1) * 4 * MB, i));
+        }
+        let done = pump_checked(&mut p, SimTime::MAX);
+        let replay = oracle::replay(&initial, &steps);
+        assert_eq!(done.len(), 30);
+        let mut ends: Vec<(u64, u64)> = done.iter().map(|c| (c.tag, c.at.as_millis())).collect();
+        ends.sort_unstable();
+        for ((tag, at), (id, end)) in ends.iter().zip(&replay) {
+            assert_eq!(tag, id);
+            let oracle::End::Done(want) = *end else {
+                panic!("stream {id} aborted in the replay")
+            };
+            assert!(
+                at.abs_diff(want) <= 1,
+                "stream {tag} at {at} ms, replay {want} ms"
+            );
+        }
     }
 
-    /// The analytic tier (the default) must reproduce the filling
-    /// reference exactly: uniform rates bitwise, completion schedule
-    /// at full `SimTime` resolution — through starts, finishes, a
-    /// mid-storm brown-out, a fully parked channel, and its rescue.
+    /// The analytic channel engine matches an equal-split filling
+    /// replay of the same storm exactly: uniform rates bitwise after
+    /// every event, and the completion schedule to the millisecond —
+    /// through starts, finishes, a mid-storm brown-out, a fully parked
+    /// channel, and its rescue. The replay is the oracle's, fed the
+    /// capacities the pool reports after each change.
     #[test]
     fn analytic_matches_filling_exactly() {
-        let run = |mode: SharingMode| {
-            let mut p = DiskPool::new(8, &DiskConfig::datacenter());
-            p.set_sharing_mode(mode);
-            // Server 3 is fully throttled before its streams start.
-            p.set_primary_util(SimTime::ZERO, ServerId(3), 0.95);
-            for i in 0..40u64 {
-                p.schedule_stream(
-                    SimTime::from_millis(i * 61),
-                    ServerId((i % 8) as u32),
-                    if i % 3 == 0 {
-                        IoDir::Write
-                    } else {
-                        IoDir::Read
-                    },
-                    (i % 9 + 1) * 8 * MB,
-                    i,
-                );
-            }
-            p.pump(SimTime::from_millis(400));
-            p.set_degrade(SimTime::from_millis(400), S0, 0.5);
-            p.pump(SimTime::from_secs(2));
-            let rates: Vec<(u64, u64)> = p
-                .active_stream_ids()
-                .iter()
-                .map(|&id| (id.0, p.stream_rate(id).unwrap().to_bits()))
-                .collect();
-            p.set_primary_util(SimTime::from_secs(2), ServerId(3), 0.0);
-            let ends: Vec<(u64, SimTime)> = p.drain().into_iter().map(|c| (c.tag, c.at)).collect();
-            (rates, ends, p.stats().completed)
-        };
-        let analytic = run(SharingMode::Auto);
-        let filling = run(SharingMode::Filling);
-        assert_eq!(analytic.0, filling.0, "mid-run rates diverged");
-        assert_eq!(analytic.1, filling.1, "completion schedules diverged");
-        assert_eq!(analytic.2, 40, "streams lost");
+        let mut p = DiskPool::new(8, &DiskConfig::datacenter());
+        let initial = capacities(&p);
+        // Server 3 is fully throttled before its streams start.
+        p.set_primary_util(SimTime::ZERO, ServerId(3), 0.95);
+        let mut steps = capacity_steps(&p, ServerId(3), 0);
+        for i in 0..40u64 {
+            let dir = if i % 3 == 0 {
+                IoDir::Write
+            } else {
+                IoDir::Read
+            };
+            let server = ServerId((i % 8) as u32);
+            steps.push(start(&mut p, i * 61, server, dir, (i % 9 + 1) * 8 * MB, i));
+        }
+        let mut done = pump_checked(&mut p, SimTime::from_millis(399));
+        p.set_degrade(SimTime::from_millis(400), S0, 0.5);
+        steps.extend(capacity_steps(&p, S0, 400));
+        check_against_oracle(&p);
+        done.extend(pump_checked(&mut p, SimTime::from_millis(1_999)));
+        assert_eq!(p.stream_rate(StreamId(3)), Some(0.0), "server 3 not parked");
+        p.set_primary_util(SimTime::from_secs(2), ServerId(3), 0.0);
+        steps.extend(capacity_steps(&p, ServerId(3), 2_000));
+        check_against_oracle(&p);
+        done.extend(pump_checked(&mut p, SimTime::MAX));
+        steps.sort_by_key(|s| s.0);
+        let mut ends: Vec<(u64, oracle::End)> = done
+            .iter()
+            .map(|c| (c.tag, oracle::End::Done(c.at.as_millis())))
+            .collect();
+        ends.sort_by_key(|e| e.0);
+        assert_eq!(
+            ends,
+            oracle::replay(&initial, &steps),
+            "completion schedules diverged"
+        );
+        assert_eq!(p.stats().completed, 40, "streams lost");
     }
 
     /// Fault interplay regression: a disk brown-out to zero mid-storm
-    /// (then a degraded replacement) is a capacity change the analytic
-    /// tier absorbs in place — no stream is lost or double-completed.
+    /// (then a degraded replacement) is a capacity change the channel
+    /// engines absorb in place — every rate stays the oracle's equal
+    /// split, and no stream is lost or double-completed.
     #[test]
     fn degrade_mid_storm_loses_nothing() {
         let mut p = DiskPool::new(4, &DiskConfig::datacenter());
@@ -1749,48 +1458,26 @@ mod tests {
                 i,
             );
         }
-        tags.extend(p.pump(SimTime::from_millis(800)).iter().map(|c| c.tag));
+        let mut pump = |p: &mut DiskPool, until: SimTime| {
+            tags.extend(pump_checked(p, until).iter().map(|c| c.tag));
+        };
+        pump(&mut p, SimTime::from_millis(799));
         p.set_degrade(SimTime::from_millis(800), S1, 0.0);
-        tags.extend(p.pump(SimTime::from_secs(30)).iter().map(|c| c.tag));
+        check_against_oracle(&p);
+        pump(&mut p, SimTime::from_millis(29_999));
         assert!(p.n_active() > 0, "S1 streams should be parked");
         p.set_degrade(SimTime::from_secs(30), S1, 0.7);
-        tags.extend(p.drain().iter().map(|c| c.tag));
+        check_against_oracle(&p);
+        pump(&mut p, SimTime::MAX);
         tags.sort_unstable();
         assert_eq!(tags, (0..24).collect::<Vec<u64>>(), "lost or doubled");
         assert_eq!(p.stats().completed, 24);
         assert!(p.stats().analytic_events > 0, "fast path never served");
     }
 
-    /// Switching to the filling tier mid-run migrates engine state to
-    /// per-stream predictions without disturbing the trajectory.
-    #[test]
-    fn mode_switch_migrates_exactly() {
-        let run = |switch: bool| {
-            let mut p = pool();
-            for i in 0..12u64 {
-                p.schedule_stream(
-                    SimTime::from_millis(i * 23),
-                    ServerId((i % 2) as u32),
-                    IoDir::Read,
-                    (i % 4 + 1) * 20 * MB,
-                    i,
-                );
-            }
-            p.pump(SimTime::from_millis(300));
-            if switch {
-                p.set_sharing_mode(SharingMode::Filling);
-                assert!(p.stats().analytic_channels > 0, "never promoted");
-            }
-            p.drain()
-                .into_iter()
-                .map(|c| (c.tag, c.at))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(run(true), run(false), "migration moved the schedule");
-    }
-
-    /// The analytic counters track the fast path: the default serves
-    /// single-channel churn analytically, the filling pin serves none.
+    /// The engine counters track the channels: one engine per occupied
+    /// channel, reopened when a drained channel refills, and one
+    /// O(log n) completion per stream.
     #[test]
     fn analytic_counters_track_the_fast_path() {
         let mut p = pool();
@@ -1800,14 +1487,10 @@ mod tests {
         p.drain();
         assert_eq!(p.stats().analytic_channels, 1, "one channel, one group");
         assert_eq!(p.stats().analytic_events, 3);
-
-        let mut f = pool();
-        f.set_sharing_mode(SharingMode::Filling);
-        for tag in 0..3u64 {
-            f.schedule_stream(SimTime::ZERO, S0, IoDir::Read, 8 * MB, tag);
-        }
-        f.drain();
-        assert_eq!(f.stats().analytic_channels, 0);
-        assert_eq!(f.stats().analytic_events, 0);
+        p.schedule_stream(SimTime::from_secs(1), S0, IoDir::Read, 8 * MB, 3);
+        p.schedule_stream(SimTime::from_secs(1), S0, IoDir::Write, 8 * MB, 4);
+        p.drain();
+        assert_eq!(p.stats().analytic_channels, 3, "refill and a new channel");
+        assert_eq!(p.stats().analytic_events, 5);
     }
 }

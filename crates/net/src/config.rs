@@ -1,5 +1,48 @@
 //! Fabric configuration.
 
+/// Which allocator the fabric uses to divide link bandwidth max-min
+/// fairly. Both compute the same allocation; they differ in cost.
+///
+/// * `Auto` (the default) serves every component that a
+///   progressive-filling pass proves single-bottleneck with the
+///   analytic O(log n) engine (`harvest_sim::fairshare::FairShare`)
+///   and falls back to component-scoped filling everywhere else.
+/// * `Filling` keeps every component on progressive filling: the A/B
+///   baseline for timing the analytic tier.
+///
+/// Rates are bitwise identical in both modes. Completion times may
+/// differ by float reassociation, which the millisecond clock almost
+/// always rounds away. The disk pool has no such knob: every disk
+/// channel is single-bottleneck, so it always runs the analytic engine.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum SharingMode {
+    /// Analytic engine on proven single-bottleneck components,
+    /// progressive filling elsewhere.
+    #[default]
+    Auto,
+    /// Progressive filling everywhere.
+    Filling,
+}
+
+impl SharingMode {
+    /// Parses a `--sharing` argument: `auto` or `filling`.
+    pub fn parse(s: &str) -> Option<SharingMode> {
+        match s {
+            "auto" => Some(SharingMode::Auto),
+            "filling" => Some(SharingMode::Filling),
+            _ => None,
+        }
+    }
+
+    /// The flag spelling, for help text and reports.
+    pub fn name(self) -> &'static str {
+        match self {
+            SharingMode::Auto => "auto",
+            SharingMode::Filling => "filling",
+        }
+    }
+}
+
 /// Link speeds and oversubscription of the datacenter fabric.
 ///
 /// The model is the classic three-tier datacenter network reduced to the
@@ -22,6 +65,9 @@ pub struct NetworkConfig {
     /// (serialization + switching; dwarfed by transfer time for blocks,
     /// visible for small reads).
     pub hop_latency_ms: f64,
+    /// The bandwidth allocator (see [`SharingMode`]), read once when a
+    /// fabric is built.
+    pub sharing: SharingMode,
 }
 
 impl NetworkConfig {
@@ -31,6 +77,7 @@ impl NetworkConfig {
             nic_gbps: 10.0,
             oversubscription: 4.0,
             hop_latency_ms: 0.05,
+            sharing: SharingMode::Auto,
         }
     }
 
@@ -41,6 +88,7 @@ impl NetworkConfig {
             nic_gbps: 10.0,
             oversubscription: 1.0,
             hop_latency_ms: 0.05,
+            sharing: SharingMode::Auto,
         }
     }
 
@@ -93,6 +141,17 @@ mod tests {
     fn nic_conversion() {
         let c = NetworkConfig::datacenter();
         assert_eq!(c.nic_bytes_per_sec(), 1.25e9);
+    }
+
+    #[test]
+    fn sharing_mode_parses_and_round_trips() {
+        for mode in [SharingMode::Auto, SharingMode::Filling] {
+            assert_eq!(SharingMode::parse(mode.name()), Some(mode));
+        }
+        assert_eq!(SharingMode::parse("analytic"), None);
+        assert_eq!(SharingMode::parse("fair"), None);
+        assert_eq!(SharingMode::default(), SharingMode::Auto);
+        assert_eq!(NetworkConfig::datacenter().sharing, SharingMode::Auto);
     }
 
     #[test]

@@ -13,10 +13,10 @@
 //! over deterministically ordered collections, so a fabric replay is
 //! bit-identical for identical inputs.
 //!
-//! # Cost model — three tiers
+//! # Cost model — two tiers
 //!
-//! The fabric serves each event with the cheapest allocator that is
-//! provably exact for the component the event touches:
+//! The fabric serves each event with the cheaper of two allocators
+//! that is exact for the component the event touches:
 //!
 //! 1. **Analytic** (O(log n) per event): a component whose flows all
 //!    traverse one common saturated link — the reimage-storm shape —
@@ -37,7 +37,8 @@
 //!    back to filling: every member's `remaining` is materialized from
 //!    the clock, the component is re-filled, and nothing is lost or
 //!    double-completed. Migration may immediately re-promote under the
-//!    new bottleneck.
+//!    new bottleneck. [`SharingMode::Filling`] (set in
+//!    [`NetworkConfig`]) turns this tier off.
 //! 2. **Component filling** (O(component links × filling iterations)
 //!    per event): the general fallback. The fabric maintains a
 //!    persistent inverted index (link → active flows crossing it), and
@@ -50,18 +51,11 @@
 //!    *cancelled* in the queue rather than left to fire stale, so the
 //!    event heap stays O(active + scheduled) instead of
 //!    O(re-shares × flows).
-//! 3. **Global reference** ([`ReshareScope::Global`]): recomputes
-//!    every active flow on every event with progressive filling — the
-//!    pre-optimization *cost shape*, kept because it is the oracle the
-//!    other two tiers are pinned against (the property tests in
-//!    `tests/properties.rs`). Selecting it disables the analytic tier
-//!    entirely: the reference *is* filling.
 //!
-//! **Exactness.** Component scoping is *bitwise* identical to global:
-//! a component's progressive-filling arithmetic is unaffected by flows
-//! it shares no link with, so scoping changes which flows are
-//! *visited*, never what any flow gets. The analytic tier's rates are
-//! also bitwise identical — its per-flow rate is
+//! **Exactness.** A component's progressive-filling arithmetic is
+//! unaffected by flows it shares no link with, so scoping changes
+//! which flows are *visited*, never what any flow gets. The analytic
+//! tier's rates are bitwise the filling's — its per-flow rate is
 //! `capacity / n as f64`, the same division filling performs when its
 //! first iteration splits the untouched bottleneck — but completion
 //! *times* re-associate the float arithmetic: filling folds
@@ -70,40 +64,36 @@
 //! few ulps (≈1e-16 relative). Simulated time is integer milliseconds
 //! and `SimDuration::from_secs_f64` rounds to the nearest millisecond,
 //! so that drift virtually never moves a completion across a
-//! millisecond boundary; the oracle tests pin analytic rates bitwise
-//! and completion schedules at full `SimTime` resolution, and that is
-//! the documented tolerance (see `sim::fairshare`). Which tier served
-//! an event is visible: `analytic_components` / `analytic_events` /
+//! millisecond boundary (see `sim::fairshare`). Which tier served an
+//! event is visible: `analytic_components` / `analytic_events` /
 //! `fallback_migrations` in [`FabricStats`] and as `net/*` counters.
+//!
+//! Both tiers are checked from outside by the max-min oracle in the
+//! workspace's `tests/oracle`, which shares no code with this module:
+//! after every event of randomized workloads with link faults, the
+//! allocation must pass the max-min certificate and match the oracle's
+//! from-scratch progressive filling, and every completion must land
+//! within a millisecond of the oracle's fluid replay.
 //!
 //! The worst case is a genuinely multi-bottleneck workload whose every
 //! flow shares a link with every other (one giant component that never
 //! classifies single-bottleneck): then a re-share still touches the
-//! whole population, exactly as a global recompute would, and the old
-//! guidance applies — offered load must not exceed fabric capacity for
-//! sustained periods, or the backlog (and the simulation) grows without
-//! bound. Callers injecting unthrottled demand must bound concurrency
-//! themselves (see `StormConfig::max_repair_streams` in `harvest-dfs`
-//! for the repair-path backpressure).
-//!
-//! Note the filling oracle's limit: both scopes share the lazy-advance
-//! and cancellation machinery (they must, or bitwise comparison would
-//! be impossible — the pre-PR code advanced every flow's `remaining`
-//! in per-event steps, whose float rounding differs from one fused
-//! multiply per rate change by ulps), so the pinned property is
-//! "scoping never changes an allocation", not "this PR's trajectories
-//! equal the old code's to the last bit".
+//! whole population, and offered load must not exceed fabric capacity
+//! for sustained periods, or the backlog (and the simulation) grows
+//! without bound. Callers injecting unthrottled demand must bound
+//! concurrency themselves (see `StormConfig::max_repair_streams` in
+//! `harvest-dfs` for the repair-path backpressure).
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 
 use harvest_cluster::ServerId;
 use harvest_sim::engine::{EventKey, EventQueue};
-use harvest_sim::fairshare::{FairShare, SharingMode};
+use harvest_sim::fairshare::FairShare;
 use harvest_sim::obs::{GaugeId, HistogramId, Recorder, StateTrackId, TrackId};
 use harvest_sim::{SimDuration, SimTime};
 
-use crate::config::NetworkConfig;
+use crate::config::{NetworkConfig, SharingMode};
 use crate::topology::{LinkId, Path, Topology};
 
 /// Identifies a flow within a fabric.
@@ -123,22 +113,6 @@ pub struct FlowCompletion {
     pub bytes: u64,
     /// When the flow entered the fabric.
     pub started: SimTime,
-}
-
-/// How much of the fabric a re-share recomputes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ReshareScope {
-    /// Recompute only the connected component of flows transitively
-    /// sharing a link with the changed flow (the default; see the
-    /// module-level cost model).
-    #[default]
-    Component,
-    /// Recompute every active flow on every event — the reference
-    /// global recompute, with the pre-optimization cost shape but the
-    /// same lazy-advance/cancellation machinery as `Component` (see the
-    /// module docs for what the oracle does and does not pin). Bitwise
-    /// identical to `Component`; kept for validation and benchmarking.
-    Global,
 }
 
 /// One in-flight transfer.
@@ -268,8 +242,8 @@ pub struct Fabric {
     /// Dead cancels already folded into `stats.stale_events_dropped`
     /// (see `sync_dead_cancels`).
     dead_cancels_seen: u64,
-    scope: ReshareScope,
-    /// Which sharing tiers are allowed (see the module cost model).
+    /// Whether the analytic tier may serve components (see the module
+    /// cost model).
     mode: SharingMode,
     /// Analytic groups, indexed by the id in `Flow::group`/`link_of`;
     /// freed slots are recycled through `free_groups`.
@@ -281,10 +255,6 @@ pub struct Fabric {
     /// components and joins preserve it — so loose flows and group
     /// members never share a link.
     link_of: Vec<u32>,
-    /// High-water mark of event time, so mode/scope switches (which
-    /// take no `now`) can materialize group state at the current
-    /// instant.
-    clock: SimTime,
     next_id: u64,
     hop_latency: SimDuration,
     stats: FabricStats,
@@ -326,12 +296,10 @@ impl Fabric {
             in_flight_remaining: 0.0,
             link_up: vec![true; n_links],
             dead_cancels_seen: 0,
-            scope: ReshareScope::Component,
-            mode: SharingMode::default(),
+            mode: config.sharing,
             groups: Vec::new(),
             free_groups: Vec::new(),
             link_of: vec![NO_GROUP; n_links],
-            clock: SimTime::ZERO,
             next_id: 0,
             hop_latency: SimDuration::from_secs_f64(config.hop_latency_ms / 1_000.0),
             stats: FabricStats::default(),
@@ -393,63 +361,6 @@ impl Fabric {
     /// The underlying topology.
     pub fn topology(&self) -> &Topology {
         &self.topo
-    }
-
-    /// The re-share scope in force.
-    pub fn reshare_scope(&self) -> ReshareScope {
-        self.scope
-    }
-
-    /// Switches the re-share scope. Safe at any point — both scopes
-    /// produce bitwise-identical trajectories (see the module docs) —
-    /// but `Global` exists for validation, not production use.
-    /// `Global` *is* the filling reference, so selecting it dissolves
-    /// any live analytic groups (state migrated exactly).
-    pub fn set_reshare_scope(&mut self, scope: ReshareScope) {
-        self.scope = scope;
-        if scope == ReshareScope::Global {
-            self.dissolve_all_groups();
-        }
-    }
-
-    /// The sharing mode in force.
-    pub fn sharing_mode(&self) -> SharingMode {
-        self.mode
-    }
-
-    /// Switches the sharing mode. Selecting [`SharingMode::Filling`]
-    /// dissolves any live analytic groups (state migrated exactly, so
-    /// the trajectory is unchanged); selecting an analytic-capable
-    /// mode lets the classifier promote components at their next
-    /// re-share. Allocations are identical in every mode — the
-    /// classifier only admits components where the analytic engine
-    /// provably agrees with filling — so this is a cost knob, not a
-    /// behavior knob.
-    pub fn set_sharing_mode(&mut self, mode: SharingMode) {
-        self.mode = mode;
-        if !mode.analytic_allowed() {
-            self.dissolve_all_groups();
-        }
-    }
-
-    /// Dissolves every analytic group at the fabric's high-water
-    /// clock and re-fills over the freed components.
-    fn dissolve_all_groups(&mut self) {
-        let mut seeds: Vec<LinkId> = Vec::new();
-        for g in 0..self.groups.len() as u32 {
-            let Some(grp) = &self.groups[g as usize] else {
-                continue;
-            };
-            let ids: Vec<u64> = grp.engine.members().map(|(id, _)| id).collect();
-            for id in ids {
-                seeds.extend(self.active[&id].path.iter().copied());
-            }
-            self.dissolve_group(g, self.clock);
-        }
-        if !seeds.is_empty() {
-            let now = self.clock;
-            self.reshare(now, &seeds);
-        }
     }
 
     /// Aggregate counters.
@@ -627,7 +538,6 @@ impl Fabric {
         if !self.link_up[link.0 as usize] {
             return Vec::new();
         }
-        self.clock = self.clock.max(now);
         // A capacity change invalidates the owning group's
         // classification: migrate its state back to filling before the
         // abort sweep (survivors are re-filled — and possibly
@@ -672,7 +582,6 @@ impl Fabric {
         if self.link_up[link.0 as usize] {
             return;
         }
-        self.clock = self.clock.max(now);
         self.link_up[link.0 as usize] = true;
         self.reshare(now, &[link]);
     }
@@ -712,7 +621,6 @@ impl Fabric {
         now: SimTime,
         tags: &std::collections::HashSet<u64>,
     ) -> usize {
-        self.clock = self.clock.max(now);
         let ids: Vec<u64> = self
             .active
             .iter()
@@ -777,7 +685,6 @@ impl Fabric {
     }
 
     fn on_start(&mut self, id: FlowId, now: SimTime) {
-        self.clock = self.clock.max(now);
         let Some(p) = self.pending.remove(&id.0) else {
             return; // cancelled
         };
@@ -836,7 +743,7 @@ impl Fabric {
     /// migrated and re-filled). The flow must already be in
     /// `active`/`flows_on`.
     fn try_join_group(&mut self, id: FlowId, now: SimTime) -> bool {
-        if self.scope != ReshareScope::Component || !self.mode.analytic_allowed() {
+        if self.mode != SharingMode::Auto {
             return false;
         }
         let path = self.active[&id.0].path;
@@ -917,7 +824,6 @@ impl Fabric {
     }
 
     fn on_complete(&mut self, id: FlowId, version: u64, now: SimTime) {
-        self.clock = self.clock.max(now);
         let stale = match self.active.get(&id.0) {
             Some(f) => f.version != version,
             None => true,
@@ -1154,9 +1060,8 @@ impl Fabric {
 
     /// Recomputes max-min fair rates (progressive filling) for the
     /// flows the event can affect and re-predicts their completions.
-    /// `seeds` is the changed flow's path; under
-    /// [`ReshareScope::Component`] only its connected component is
-    /// recomputed, under [`ReshareScope::Global`] everything is.
+    /// `seeds` is the changed flow's path; only its connected component
+    /// is recomputed.
     ///
     /// Progressive filling: repeatedly find the most-contended link (the
     /// one whose remaining capacity split across its unfrozen flows is
@@ -1186,22 +1091,10 @@ impl Fabric {
             return;
         }
 
-        // The candidate set: one component, or everything. Sorted ids
-        // keep the freeze order and the bottleneck tie-break identical
-        // between the two scopes.
-        let (ids, used): (Vec<u64>, Vec<u32>) = match self.scope {
-            ReshareScope::Component => self.component(seeds),
-            ReshareScope::Global => {
-                let ids: Vec<u64> = self.active.keys().copied().collect();
-                let mut used: Vec<u32> = ids
-                    .iter()
-                    .flat_map(|id| self.active[id].path.iter().map(|l| l.0))
-                    .collect();
-                used.sort_unstable();
-                used.dedup();
-                (ids, used)
-            }
-        };
+        // The candidate set: the changed flow's component, ids sorted
+        // so the freeze order and the bottleneck tie-break never depend
+        // on discovery order.
+        let (ids, used) = self.component(seeds);
         if ids.is_empty() {
             return;
         }
@@ -1277,16 +1170,11 @@ impl Fabric {
         // Single-bottleneck classification: one iteration froze the
         // whole component, so every flow crosses the picked link and
         // max-min degenerates to an equal split — promote the
-        // component to the analytic tier (unless the reference filling
-        // was explicitly requested, or the component is trivial, or
-        // the bottleneck is a dead link parking everyone at 0).
+        // component to the analytic tier (unless filling was pinned, or
+        // the component is trivial, or the bottleneck is a dead link
+        // parking everyone at 0).
         if let Some((share, bottleneck)) = first {
-            if iterations == 1
-                && share > 0.0
-                && ids.len() >= 2
-                && self.scope == ReshareScope::Component
-                && self.mode.analytic_allowed()
-            {
+            if iterations == 1 && share > 0.0 && ids.len() >= 2 && self.mode == SharingMode::Auto {
                 self.promote(now, &ids, &used, bottleneck, share);
                 return;
             }
@@ -1400,6 +1288,12 @@ impl Fabric {
     }
 }
 
+/// The workspace's independent max-min oracle (plain `std` code that
+/// shares nothing with this module).
+#[cfg(test)]
+#[path = "../../../tests/oracle/mod.rs"]
+mod oracle;
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1409,9 +1303,60 @@ mod tests {
     const MB: u64 = 1024 * 1024;
 
     fn fabric() -> (Datacenter, Fabric) {
+        fabric_with(SharingMode::Auto)
+    }
+
+    fn fabric_with(sharing: SharingMode) -> (Datacenter, Fabric) {
         let dc = Datacenter::generate(&DatacenterProfile::dc(9).scaled(0.02), 42);
-        let f = Fabric::from_datacenter(&dc, &NetworkConfig::datacenter());
+        let config = NetworkConfig {
+            sharing,
+            ..NetworkConfig::datacenter()
+        };
+        let f = Fabric::from_datacenter(&dc, &config);
         (dc, f)
+    }
+
+    /// The oracle's view of the fabric: per-link capacity (zero while
+    /// down) and each active flow's path and rate, from public state.
+    fn oracle_view(f: &Fabric) -> (Vec<f64>, Vec<Vec<usize>>, Vec<f64>) {
+        let topo = f.topology();
+        let capacity = (0..topo.n_links() as u32)
+            .map(|l| match f.link_is_up(LinkId(l)) {
+                true => topo.capacity(LinkId(l)),
+                false => 0.0,
+            })
+            .collect();
+        let ids = f.active_flow_ids();
+        let paths = ids
+            .iter()
+            .map(|&id| {
+                f.flow_path(id)
+                    .unwrap()
+                    .iter()
+                    .map(|l| l.0 as usize)
+                    .collect()
+            })
+            .collect();
+        let rates = ids.iter().map(|&id| f.flow_rate(id).unwrap()).collect();
+        (capacity, paths, rates)
+    }
+
+    /// Pumps `f` event by event up to `until`, checking the allocation
+    /// against the max-min oracle after every event.
+    fn pump_checked(f: &mut Fabric, until: SimTime) -> Vec<(u64, SimTime)> {
+        let mut ends = Vec::new();
+        while let Some(t) = f.next_event_time().filter(|&t| t <= until) {
+            ends.extend(f.pump(t).into_iter().map(|c| (c.tag, c.at)));
+            let (capacity, paths, rates) = oracle_view(f);
+            oracle::certify(&capacity, &paths, &rates).unwrap();
+            for (got, want) in rates.iter().zip(oracle::max_min(&capacity, &paths)) {
+                assert!(
+                    oracle::rates_agree(*got, want),
+                    "at {t}: {got} vs oracle {want}"
+                );
+            }
+        }
+        ends
     }
 
     fn cross_rack_pair(dc: &Datacenter) -> (ServerId, ServerId) {
@@ -1647,18 +1592,17 @@ mod tests {
         f.drain();
     }
 
-    /// Component scoping and the global reference recompute must agree
-    /// bitwise (the full randomized oracle lives in tests/properties.rs).
+    /// Component-scoped re-sharing, in both tiers, matches the global
+    /// max-min oracle (a from-scratch filling over every active flow)
+    /// after every event, and the two tiers agree: rates bitwise,
+    /// completion schedules exactly (sorted by time, then tag, since
+    /// same-millisecond completions may pop in either order). The full
+    /// randomized oracle, with link faults, lives in
+    /// tests/properties.rs.
     #[test]
     fn component_scope_matches_global_scope() {
-        let run = |scope: ReshareScope| {
-            let (dc, mut f) = fabric();
-            // This oracle probes *versions*, which the analytic tier
-            // deliberately freezes — pin the filling machinery itself.
-            // (The analytic-vs-global oracles live below and in
-            // tests/properties.rs.)
-            f.set_sharing_mode(SharingMode::Filling);
-            f.set_reshare_scope(scope);
+        let run = |mode: SharingMode| {
+            let (dc, mut f) = fabric_with(mode);
             let n = dc.n_servers();
             for i in 0..40u64 {
                 f.schedule_flow(
@@ -1669,25 +1613,22 @@ mod tests {
                     i,
                 );
             }
-            f.pump(SimTime::from_millis(300));
-            let probe: Vec<(u64, u64, u64)> = f
+            let mut ends = pump_checked(&mut f, SimTime::from_millis(300));
+            let probe: Vec<(u64, u64)> = f
                 .active_flow_ids()
                 .iter()
-                .map(|&id| {
-                    (
-                        id.0,
-                        f.flow_rate(id).unwrap().to_bits(),
-                        f.flow_version(id).unwrap(),
-                    )
-                })
+                .map(|&id| (id.0, f.flow_rate(id).unwrap().to_bits()))
                 .collect();
-            let ends: Vec<(u64, SimTime)> = f.drain().into_iter().map(|c| (c.tag, c.at)).collect();
+            ends.extend(pump_checked(&mut f, SimTime::MAX));
+            let mut ends: Vec<(SimTime, u64)> = ends.into_iter().map(|(t, at)| (at, t)).collect();
+            ends.sort_unstable();
+            assert_eq!(ends.len(), 40, "flows went missing");
             (probe, ends)
         };
-        let comp = run(ReshareScope::Component);
-        let glob = run(ReshareScope::Global);
-        assert_eq!(comp.0, glob.0, "mid-run rates/versions diverged");
-        assert_eq!(comp.1, glob.1, "completion schedules diverged");
+        let auto = run(SharingMode::Auto);
+        let filling = run(SharingMode::Filling);
+        assert_eq!(auto.0, filling.0, "mid-run rates diverged");
+        assert_eq!(auto.1, filling.1, "completion schedules diverged");
     }
 
     /// Recording is pure observation: the completion schedule and the
@@ -1741,12 +1682,11 @@ mod tests {
     /// uplink) classifies single-bottleneck, is served analytically,
     /// migrates back to filling when the population shrinks until the
     /// NICs bind — and the whole trajectory is exactly the filling
-    /// reference's.
+    /// tier's.
     #[test]
     fn storm_promotes_and_matches_filling_exactly() {
         let run = |mode: SharingMode| {
-            let (dc, mut f) = fabric();
-            f.set_sharing_mode(mode);
+            let (dc, mut f) = fabric_with(mode);
             let rack0: Vec<ServerId> = dc
                 .servers
                 .iter()
@@ -1790,14 +1730,14 @@ mod tests {
     }
 
     /// Mid-run rate allocations under the analytic tier are bitwise
-    /// the global filling reference's (the randomized oracle lives in
+    /// the global max-min oracle's (the convoy is single-bottleneck, so
+    /// both compute `capacity / n`) and the filling tier's, and the
+    /// completion schedules agree (the randomized oracle lives in
     /// tests/properties.rs).
     #[test]
     fn analytic_rates_match_global_bitwise() {
-        let run = |mode: SharingMode, scope: ReshareScope| {
-            let (dc, mut f) = fabric();
-            f.set_sharing_mode(mode);
-            f.set_reshare_scope(scope);
+        let run = |mode: SharingMode| {
+            let (dc, mut f) = fabric_with(mode);
             let rack0: Vec<ServerId> = dc
                 .servers
                 .iter()
@@ -1820,18 +1760,21 @@ mod tests {
                 );
             }
             f.pump(SimTime::from_millis(60));
-            let probe: Vec<(u64, u64)> = f
-                .active_flow_ids()
-                .iter()
-                .map(|&id| (id.0, f.flow_rate(id).unwrap().to_bits()))
-                .collect();
+            let (capacity, paths, rates) = oracle_view(&f);
+            let bits = |r: &[f64]| r.iter().map(|r| r.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&rates),
+                bits(&oracle::max_min(&capacity, &paths)),
+                "rates diverged from the oracle bitwise"
+            );
             let ends: Vec<(u64, SimTime)> = f.drain().into_iter().map(|c| (c.tag, c.at)).collect();
-            (probe, ends)
+            (bits(&rates), ends, f.stats().analytic_events)
         };
-        let analytic = run(SharingMode::Analytic, ReshareScope::Component);
-        let global = run(SharingMode::Filling, ReshareScope::Global);
-        assert_eq!(analytic.0, global.0, "mid-run rates diverged bitwise");
-        assert_eq!(analytic.1, global.1, "completion schedules diverged");
+        let analytic = run(SharingMode::Auto);
+        let filling = run(SharingMode::Filling);
+        assert!(analytic.2 > 0, "the convoy never took the analytic tier");
+        assert_eq!(analytic.0, filling.0, "mid-run rates diverged bitwise");
+        assert_eq!(analytic.1, filling.1, "completion schedules diverged");
     }
 
     /// The fault-interplay regression: an uplink going down mid-storm
@@ -1842,8 +1785,7 @@ mod tests {
     #[test]
     fn uplink_down_mid_storm_migrates_exactly() {
         let run = |mode: SharingMode| {
-            let (dc, mut f) = fabric();
-            f.set_sharing_mode(mode);
+            let (dc, mut f) = fabric_with(mode);
             let by_rack = |r: u32| -> Vec<ServerId> {
                 dc.servers
                     .iter()

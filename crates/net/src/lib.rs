@@ -7,7 +7,8 @@
 //! gives the workspace the fabric those stories play out on:
 //!
 //! * [`config`] — [`NetworkConfig`]: NIC speed, rack-uplink
-//!   oversubscription, per-hop latency;
+//!   oversubscription, per-hop latency, and the [`SharingMode`] that
+//!   picks the bandwidth allocator;
 //! * [`topology`] — [`Topology`]: the server-NIC / ToR / oversubscribed
 //!   aggregation hierarchy, derived from a
 //!   [`harvest_cluster::Datacenter`]'s own rack layout, with path lookup
@@ -45,7 +46,6 @@ pub mod config;
 pub mod fabric;
 pub mod topology;
 
-pub use config::NetworkConfig;
-pub use fabric::{Fabric, FabricStats, FlowCompletion, FlowId, ReshareScope};
-pub use harvest_sim::fairshare::SharingMode;
+pub use config::{NetworkConfig, SharingMode};
+pub use fabric::{Fabric, FabricStats, FlowCompletion, FlowId};
 pub use topology::{LinkId, Path, Topology};

@@ -130,17 +130,15 @@ fn main() {
                     counter(&report, "disk/stale_events_dropped"),
                     counter(&report, "disk/peak_queue_len"),
                 );
+                // Every disk channel is single-bottleneck, so the
+                // pool always serves it with the analytic engine.
                 let channels = counter(&report, "disk/analytic_channels");
                 let analytic = counter(&report, "disk/analytic_events");
-                if analytic > 0 {
-                    println!(
-                        "                disk sharing:   analytic fast path \
-                         ({channels} channels promoted, {analytic} completions \
-                         in O(log n))",
-                    );
-                } else {
-                    println!("                disk sharing:   progressive filling");
-                }
+                println!(
+                    "                disk sharing:   analytic fast path \
+                     ({channels} channels promoted, {analytic} completions \
+                     in O(log n))",
+                );
             }
             recovered.push(r.recovered_at);
         }
@@ -161,12 +159,14 @@ fn main() {
                 "unthrottled storm never engaged the analytic fast path"
             );
             // And the fast path is a cost knob, not a behavior knob:
-            // pinning the reference filling tier reproduces the same
-            // recovery timestamp at second granularity.
+            // pinning the fabric to progressive filling reproduces the
+            // same recovery timestamp at second granularity.
             let mut pinned = base.clone();
-            pinned.network = Some(NetworkConfig::datacenter());
+            pinned.network = Some(NetworkConfig {
+                sharing: SharingMode::Filling,
+                ..NetworkConfig::datacenter()
+            });
             pinned.disk = Some(DiskConfig::datacenter());
-            pinned.sharing = SharingMode::Filling;
             let mut rec = Recorder::off();
             let f = simulate_reimage_storm_recorded(&dc, &pinned, &mut rec);
             assert_eq!(

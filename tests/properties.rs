@@ -6,7 +6,7 @@ use harvest::dfs::placement::{PlacementPolicy, Placer};
 use harvest::dfs::store::BlockStore;
 use harvest::disk::{DiskConfig, DiskPool, IoDir};
 use harvest::jobs::length::LengthThresholds;
-use harvest::net::{Fabric, NetworkConfig};
+use harvest::net::{Fabric, LinkId, NetworkConfig, SharingMode};
 use harvest::signal::fft::{fft_in_place, ifft_in_place};
 use harvest::signal::kmeans::kmeans;
 use harvest::signal::Complex;
@@ -18,6 +18,8 @@ use harvest::trace::timeseries::TimeSeries;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+mod oracle;
 
 proptest! {
     /// FFT followed by inverse FFT reproduces any real signal.
@@ -177,7 +179,6 @@ proptest! {
         prop_assert!(q25 >= lo && q99 <= hi);
     }
 }
-
 /// A small, fixed datacenter for fabric properties (the properties are
 /// over the random *flow populations*, not the topology).
 fn fabric_dc() -> Datacenter {
@@ -187,28 +188,22 @@ fn fabric_dc() -> Datacenter {
     )
 }
 
+/// A fabric over `dc` using sharing engine `mode`. Zero per-hop
+/// latency, so a flow's work is exactly its bytes and the oracle's
+/// replay needs no latency model.
+fn fabric_with(dc: &Datacenter, sharing: SharingMode) -> Fabric {
+    let config = NetworkConfig {
+        hop_latency_ms: 0.0,
+        sharing,
+        ..NetworkConfig::datacenter()
+    };
+    Fabric::from_datacenter(dc, &config)
+}
+
 /// Builds a fabric carrying `flows` (src, dst, bytes, start-ms tuples
 /// mapped into the datacenter) and pumps it to `probe_ms`.
 fn loaded_fabric(dc: &Datacenter, flows: &[(usize, usize, u64, u64)], probe_ms: u64) -> Fabric {
-    loaded_fabric_scoped(
-        dc,
-        flows,
-        probe_ms,
-        harvest::net::ReshareScope::Component,
-        harvest::net::SharingMode::default(),
-    )
-}
-
-fn loaded_fabric_scoped(
-    dc: &Datacenter,
-    flows: &[(usize, usize, u64, u64)],
-    probe_ms: u64,
-    scope: harvest::net::ReshareScope,
-    mode: harvest::net::SharingMode,
-) -> Fabric {
     let mut fabric = Fabric::from_datacenter(dc, &NetworkConfig::datacenter());
-    fabric.set_reshare_scope(scope);
-    fabric.set_sharing_mode(mode);
     let n = dc.n_servers();
     for (i, &(s, d, bytes, at)) in flows.iter().enumerate() {
         fabric.schedule_flow(
@@ -224,6 +219,231 @@ fn loaded_fabric_scoped(
     fabric
 }
 
+/// One external step of a randomized fabric workload.
+#[derive(Debug, Clone, Copy)]
+enum NetOp {
+    /// Start a flow of `bytes` between two distinct servers.
+    Flow(ServerId, ServerId, u64),
+    /// Take a link down (aborting what crosses it) or bring it back.
+    Down(LinkId),
+    Up(LinkId),
+}
+
+/// Servers a randomized fabric workload runs between: few enough that
+/// flows contend on NICs and rack links, spread over every rack.
+const NET_SERVERS: usize = 16;
+
+/// Turns raw proptest draws into a time-ordered fabric workload over
+/// [`NET_SERVERS`] servers: `flows` are (src, dst, bytes, start-ms)
+/// and `faults` are (link kind, server, down-ms, outage-ms) — the
+/// server's NIC (either direction) or its rack's uplink/downlink goes
+/// down and comes back up.
+fn net_workload(
+    dc: &Datacenter,
+    topo: &harvest::net::Topology,
+    flows: &[(usize, usize, u64, u64)],
+    faults: &[(u64, usize, u64, u64)],
+) -> Vec<(u64, NetOp)> {
+    let server = |i: usize| dc.servers[(i % NET_SERVERS) * dc.n_servers() / NET_SERVERS].id;
+    let mut ops: Vec<(u64, NetOp)> = flows
+        .iter()
+        .map(|&(s, d, bytes, at)| {
+            let d = if d % NET_SERVERS == s % NET_SERVERS {
+                d + 1
+            } else {
+                d
+            };
+            (
+                at,
+                NetOp::Flow(server(s), server(d), (bytes % 64 + 1) * 1024 * 1024),
+            )
+        })
+        .collect();
+    for &(kind, s, at, outage) in faults {
+        let rack = dc.servers[server(s).0 as usize].rack.0;
+        let link = match kind % 4 {
+            0 => topo.server_tx(server(s)),
+            1 => topo.server_rx(server(s)),
+            2 => topo.rack_up(rack),
+            _ => topo.rack_down(rack),
+        };
+        ops.push((at, NetOp::Down(link)));
+        ops.push((at + outage, NetOp::Up(link)));
+    }
+    ops.sort_by_key(|op| op.0);
+    ops
+}
+
+/// Checks the fabric's current allocation against the independent
+/// oracle: the max-min certificate, and the oracle's own allocation
+/// (bitwise when `bitwise`, else within `oracle::REL_TOL`). Reads only
+/// public state: active flows, their paths and rates, link capacities
+/// and link state.
+fn check_fabric(f: &Fabric, bitwise: bool) -> Result<(), String> {
+    let topo = f.topology();
+    let capacity: Vec<f64> = (0..topo.n_links())
+        .map(|l| {
+            let link = LinkId(l as u32);
+            if f.link_is_up(link) {
+                topo.capacity(link)
+            } else {
+                0.0
+            }
+        })
+        .collect();
+    let ids = f.active_flow_ids();
+    let paths: Vec<Vec<usize>> = ids
+        .iter()
+        .map(|&id| {
+            f.flow_path(id)
+                .unwrap()
+                .iter()
+                .map(|l| l.0 as usize)
+                .collect()
+        })
+        .collect();
+    let rates: Vec<f64> = ids.iter().map(|&id| f.flow_rate(id).unwrap()).collect();
+    oracle::certify(&capacity, &paths, &rates)?;
+    let want = oracle::max_min(&capacity, &paths);
+    for ((id, &got), &want) in ids.iter().zip(&rates).zip(&want) {
+        let agree = if bitwise {
+            got.to_bits() == want.to_bits()
+        } else {
+            oracle::rates_agree(got, want)
+        };
+        if !agree {
+            return Err(format!("{id:?}: engine {got} B/s vs oracle {want} B/s"));
+        }
+    }
+    Ok(())
+}
+
+/// The next instant a driven engine acts at: its own next event or the
+/// next external step, whichever comes first (`None` once both are
+/// exhausted).
+fn next_instant(engine: Option<SimTime>, step: Option<u64>) -> Option<u64> {
+    match (engine.map(|t| t.as_millis()), step) {
+        (Some(a), Some(b)) => Some(a.min(b)),
+        (a, b) => a.or(b),
+    }
+}
+
+/// Drives `f` through `ops` — `while let Some(t) = next_event_time()
+/// { pump(t); check }`, with each external step applied before the
+/// engine's own events at its instant — and checks the allocation
+/// against the oracle after every event. Returns how each flow ended
+/// (keyed by op index, which is the flow's tag) and the steps the
+/// oracle's replay needs.
+#[allow(clippy::type_complexity)]
+fn drive_fabric(
+    f: &mut Fabric,
+    ops: &[(u64, NetOp)],
+    bitwise: bool,
+) -> Result<(Vec<(u64, oracle::End)>, Vec<(u64, oracle::Step)>), String> {
+    let mut ends = Vec::new();
+    let mut steps = Vec::new();
+    let mut k = 0;
+    while let Some(now) = next_instant(f.next_event_time(), ops.get(k).map(|op| op.0)) {
+        let at = SimTime::from_millis(now);
+        if ops.get(k).map(|op| op.0) == Some(now) {
+            while let Some(&(_, op)) = ops.get(k).filter(|op| op.0 == now) {
+                let tag = k as u64;
+                k += 1;
+                match op {
+                    NetOp::Flow(src, dst, bytes) => {
+                        f.schedule_flow(at, src, dst, bytes, tag);
+                        let path = f.topology().path_links(src, dst);
+                        let path = path.iter().map(|l| l.0 as usize).collect();
+                        let work = bytes as f64;
+                        steps.push((
+                            now,
+                            oracle::Step::Start {
+                                id: tag,
+                                work,
+                                path,
+                            },
+                        ));
+                    }
+                    NetOp::Down(link) if f.link_is_up(link) => {
+                        for tag in f.set_link_down(at, link) {
+                            ends.push((tag, oracle::End::Aborted(now)));
+                        }
+                        let resource = link.0 as usize;
+                        let (capacity, abort) = (0.0, true);
+                        steps.push((
+                            now,
+                            oracle::Step::Capacity {
+                                resource,
+                                capacity,
+                                abort,
+                            },
+                        ));
+                    }
+                    NetOp::Up(link) if !f.link_is_up(link) => {
+                        f.set_link_up(at, link);
+                        let resource = link.0 as usize;
+                        let (capacity, abort) = (f.topology().capacity(link), false);
+                        steps.push((
+                            now,
+                            oracle::Step::Capacity {
+                                resource,
+                                capacity,
+                                abort,
+                            },
+                        ));
+                    }
+                    NetOp::Down(_) | NetOp::Up(_) => {}
+                }
+            }
+        } else {
+            for c in f.pump(at) {
+                ends.push((c.tag, oracle::End::Done(c.at.as_millis())));
+            }
+        }
+        check_fabric(f, bitwise).map_err(|e| format!("at {now} ms: {e}"))?;
+    }
+    Ok((ends, steps))
+}
+
+/// Compares how an engine's transfers ended with the oracle's replay:
+/// the same transfers end, aborts land on the same instant, and every
+/// completion is within `tol_ms` of the replay's.
+fn compare_ends(
+    mut engine: Vec<(u64, oracle::End)>,
+    replay: &[(u64, oracle::End)],
+    tol_ms: u64,
+) -> Result<(), String> {
+    engine.sort_by_key(|e| e.0);
+    if engine.len() != replay.len() {
+        return Err(format!(
+            "{} transfers ended in the engine, {} in the replay",
+            engine.len(),
+            replay.len()
+        ));
+    }
+    for (e, r) in engine.iter().zip(replay) {
+        let close = match (e.1, r.1) {
+            (oracle::End::Done(a), oracle::End::Done(b)) => a.abs_diff(b) <= tol_ms,
+            (a, b) => e.0 == r.0 && a == b,
+        };
+        if e.0 != r.0 || !close {
+            return Err(format!(
+                "transfer {} ended {:?}, replay says {:?}",
+                e.0, e.1, r
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// The initial capacities the replay starts from: every link up.
+fn link_capacities(f: &Fabric) -> Vec<f64> {
+    let topo = f.topology();
+    (0..topo.n_links())
+        .map(|l| topo.capacity(LinkId(l as u32)))
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -236,7 +456,7 @@ proptest! {
         let dc = fabric_dc();
         let fabric = loaded_fabric(&dc, &flows, 100);
         for l in 0..fabric.topology().n_links() {
-            let link = harvest::net::LinkId(l as u32);
+            let link = LinkId(l as u32);
             let cap = fabric.topology().capacity(link);
             let load = fabric.link_load(link);
             prop_assert!(
@@ -319,147 +539,88 @@ proptest! {
         prop_assert_eq!(a, b);
     }
 
-    /// The incremental-allocator oracle: component-scoped re-sharing is
-    /// *bitwise* identical to the reference global recompute — same
-    /// rates (compared by bit pattern), same versions, same completion
-    /// schedule — across randomized storm workloads. Pinned to
-    /// `SharingMode::Filling`: versions are a filling-tier concept
-    /// (frozen while a flow is enrolled in an analytic group), and this
-    /// oracle compares the two *filling* scopes; the analytic tier has
-    /// its own oracles below.
+    /// The component-scoped filling tier against the independent global
+    /// oracle (`tests/oracle`), on randomized storms with links going
+    /// down and coming back. After every event the allocation must pass
+    /// the max-min certificate and match the oracle's from-scratch
+    /// global recompute within 1e-9 relative; the flows the downs abort
+    /// must be the ones the replay aborts, and every completion must
+    /// land within 1 ms of the oracle's fluid replay.
     #[test]
     fn fabric_component_reshare_matches_global_oracle(
         flows in prop::collection::vec((0usize..500, 0usize..500, 0u64..64, 0u64..400), 1..60),
-        probe_ms in 0u64..400,
+        faults in prop::collection::vec((0u64..4, 0usize..500, 0u64..400, 1u64..300), 0..6),
     ) {
         let dc = fabric_dc();
-        let run = |scope: harvest::net::ReshareScope| {
-            let mut f = loaded_fabric_scoped(
-                &dc,
-                &flows,
-                probe_ms,
-                scope,
-                harvest::net::SharingMode::Filling,
-            );
-            let probe: Vec<(u64, u64, u64)> = f
-                .active_flow_ids()
-                .iter()
-                .map(|&id| (
-                    id.0,
-                    f.flow_rate(id).unwrap().to_bits(),
-                    f.flow_version(id).unwrap(),
-                ))
-                .collect();
-            let ends: Vec<(u64, harvest::sim::SimTime)> =
-                f.drain().into_iter().map(|c| (c.tag, c.at)).collect();
-            (probe, ends)
-        };
-        let comp = run(harvest::net::ReshareScope::Component);
-        let glob = run(harvest::net::ReshareScope::Global);
-        prop_assert_eq!(&comp.0, &glob.0, "mid-storm rates/versions diverged");
-        prop_assert_eq!(&comp.1, &glob.1, "completion schedules diverged");
+        let mut f = fabric_with(&dc, SharingMode::Filling);
+        let ops = net_workload(&dc, f.topology(), &flows, &faults);
+        let (ends, steps) = drive_fabric(&mut f, &ops, false)?;
+        compare_ends(ends, &oracle::replay(&link_capacities(&f), &steps), 1)?;
+        prop_assert_eq!(f.stats().analytic_events, 0, "filling pin took the fast path");
     }
 
-    /// The analytic-tier oracle on its home turf: every flow leaves one
+    /// The analytic tier on its home turf: every flow leaves one
     /// server at t = 0, so the source NIC is the whole component's
     /// single bottleneck and the classifier must promote it (singleton
     /// components are left on filling — the fast path needs at least
-    /// two concurrent flows to have anything to share). Mid-storm rates
-    /// are *bitwise* identical to the global filling reference (both
-    /// tiers compute `capacity / n` on identical populations) and
-    /// every flow's completion *time* matches exactly. Completions
-    /// landing on the same millisecond may pop in a different order
-    /// (the analytic heap breaks ties by fair-work key, filling's
-    /// queue by push order — the integer clock erases the sub-ms
-    /// distinction), so schedules are compared sorted by (time, tag).
+    /// two concurrent flows to have anything to share). After every
+    /// event the rates are *bitwise* the global oracle's (both compute
+    /// `capacity / n` on the same population). The completion
+    /// schedule matches the filling tier's exactly and the oracle's
+    /// replay within 1 ms. Completions landing on the same millisecond
+    /// may pop in a different order (the analytic heap breaks ties by
+    /// fair-work key, filling's queue by push order), so the two
+    /// engines' schedules are compared sorted by (time, tag).
     #[test]
     fn fabric_single_bottleneck_analytic_matches_global_bitwise(
         flows in prop::collection::vec((0usize..500, 0u64..64), 2..50),
         src in 0usize..500,
-        probe_ms in 0u64..200,
     ) {
         let dc = fabric_dc();
-        let n = dc.n_servers();
-        let shaped: Vec<(usize, usize, u64, u64)> = flows
-            .iter()
-            .map(|&(d, b)| {
-                (src, if d % n == src % n { d + 1 } else { d }, b, 0)
-            })
-            .collect();
-        let run = |scope, mode| {
-            let mut f = loaded_fabric_scoped(&dc, &shaped, probe_ms, scope, mode);
-            let probe: Vec<(u64, u64)> = f
-                .active_flow_ids()
+        let shaped: Vec<(usize, usize, u64, u64)> =
+            flows.iter().map(|&(d, b)| (src, d, b, 0)).collect();
+        let run = |mode| -> Result<_, String> {
+            let mut f = fabric_with(&dc, mode);
+            let ops = net_workload(&dc, f.topology(), &shaped, &[]);
+            let (ends, steps) = drive_fabric(&mut f, &ops, true)?;
+            let replay = oracle::replay(&link_capacities(&f), &steps);
+            let mut sorted: Vec<(u64, u64)> = ends
                 .iter()
-                .map(|&id| (id.0, f.flow_rate(id).unwrap().to_bits()))
+                .map(|&(tag, end)| match end {
+                    oracle::End::Done(at) => (at, tag),
+                    oracle::End::Aborted(_) => unreachable!("no faults"),
+                })
                 .collect();
-            let mut ends: Vec<(harvest::sim::SimTime, u64)> =
-                f.drain().into_iter().map(|c| (c.at, c.tag)).collect();
-            ends.sort();
-            (probe, ends, f.stats().analytic_events)
+            sorted.sort_unstable();
+            compare_ends(ends, &replay, 1)?;
+            Ok((sorted, f.stats().analytic_events))
         };
-        let ana = run(
-            harvest::net::ReshareScope::Component,
-            harvest::net::SharingMode::Auto,
-        );
-        let glob = run(
-            harvest::net::ReshareScope::Global,
-            harvest::net::SharingMode::Filling,
-        );
-        prop_assert_eq!(&ana.0, &glob.0, "mid-storm rates diverged");
-        prop_assert_eq!(&ana.1, &glob.1, "completion schedules diverged");
-        prop_assert!(ana.2 > 0, "classifier never promoted a single-bottleneck component");
+        let (auto, analytic_events) = run(SharingMode::Auto)?;
+        let (filling, _) = run(SharingMode::Filling)?;
+        prop_assert_eq!(&auto, &filling, "completion schedules diverged");
+        prop_assert!(analytic_events > 0, "classifier never promoted a single-bottleneck component");
     }
 
-    /// The analytic tier on *mixed* workloads (arbitrary src/dst pairs,
-    /// so components may have several bottlenecks and only some
-    /// promote): `Auto` conserves capacity and completes the same flows
-    /// as the global filling reference, with every completion within
-    /// 1 ms. Rates are bitwise identical whichever tier serves a
-    /// component; completion *times* may differ by float reassociation
-    /// (filling folds `(r - a) - b`, the fair-work clock computes
-    /// `r - (a + b)`), which the millisecond clock rounds away —
-    /// documented tolerance: one clock quantum.
+    /// The default tier (`Auto`) on *mixed* workloads with link faults
+    /// (arbitrary src/dst pairs, so components may have several
+    /// bottlenecks and only some promote; downs abort and migrate live
+    /// groups, ups rescue parked flows): after every event the
+    /// allocation passes the certificate and matches the global
+    /// oracle within 1e-9; every completion lands within 1 ms of the
+    /// oracle's replay. Completion *times* may drift from the replay
+    /// by float reassociation (the fair-work clock computes `r − (a +
+    /// b)` where the replay folds `(r − a) − b`), which the millisecond
+    /// clock rounds away — documented tolerance: one clock quantum.
     #[test]
     fn fabric_mixed_analytic_matches_global_schedule(
         flows in prop::collection::vec((0usize..500, 0usize..500, 0u64..64, 0u64..400), 1..60),
-        probe_ms in 0u64..400,
+        faults in prop::collection::vec((0u64..4, 0usize..500, 0u64..400, 1u64..300), 0..6),
     ) {
         let dc = fabric_dc();
-        let run = |scope, mode| {
-            let mut f = loaded_fabric_scoped(&dc, &flows, probe_ms, scope, mode);
-            for l in 0..f.topology().n_links() {
-                let link = harvest::net::LinkId(l as u32);
-                assert!(
-                    f.link_load(link) <= f.topology().capacity(link) * (1.0 + 1e-9),
-                    "link {l} overloaded under analytic sharing"
-                );
-            }
-            let mut ends: Vec<(u64, i64)> = f
-                .drain()
-                .into_iter()
-                .map(|c| (c.tag, c.at.as_millis() as i64))
-                .collect();
-            ends.sort();
-            ends
-        };
-        let ana = run(
-            harvest::net::ReshareScope::Component,
-            harvest::net::SharingMode::Auto,
-        );
-        let glob = run(
-            harvest::net::ReshareScope::Global,
-            harvest::net::SharingMode::Filling,
-        );
-        prop_assert_eq!(ana.len(), glob.len(), "flow counts diverged");
-        for (a, g) in ana.iter().zip(glob.iter()) {
-            prop_assert_eq!(a.0, g.0, "completion order diverged");
-            prop_assert!(
-                (a.1 - g.1).abs() <= 1,
-                "flow {} finished at {} analytic vs {} filling (> 1 ms apart)",
-                a.0, a.1, g.1
-            );
-        }
+        let mut f = fabric_with(&dc, SharingMode::Auto);
+        let ops = net_workload(&dc, f.topology(), &flows, &faults);
+        let (ends, steps) = drive_fabric(&mut f, &ops, false)?;
+        compare_ends(ends, &oracle::replay(&link_capacities(&f), &steps), 1)?;
     }
 }
 
@@ -473,35 +634,17 @@ fn loaded_pool(
     utils: &[(usize, u64)],
     probe_ms: u64,
 ) -> DiskPool {
-    loaded_pool_scoped(
-        streams,
-        utils,
-        probe_ms,
-        harvest::disk::ReshareScope::Channel,
-        harvest::disk::SharingMode::default(),
-    )
-}
-
-fn loaded_pool_scoped(
-    streams: &[(usize, u64, u64, u64)],
-    utils: &[(usize, u64)],
-    probe_ms: u64,
-    scope: harvest::disk::ReshareScope,
-    mode: harvest::disk::SharingMode,
-) -> DiskPool {
     let mut pool = DiskPool::new(N_DISKS, &DiskConfig::datacenter());
-    pool.set_reshare_scope(scope);
-    pool.set_sharing_mode(mode);
     for &(server, centi_util) in utils {
         pool.set_primary_util(
-            harvest::sim::SimTime::ZERO,
+            SimTime::ZERO,
             ServerId((server % N_DISKS) as u32),
             centi_util as f64 / 100.0,
         );
     }
     for (i, &(server, write, bytes, at)) in streams.iter().enumerate() {
         pool.schedule_stream(
-            harvest::sim::SimTime::from_millis(at),
+            SimTime::from_millis(at),
             ServerId((server % N_DISKS) as u32),
             if write % 2 == 1 {
                 IoDir::Write
@@ -513,8 +656,170 @@ fn loaded_pool_scoped(
             i as u64,
         );
     }
-    pool.pump(harvest::sim::SimTime::from_millis(probe_ms));
+    pool.pump(SimTime::from_millis(probe_ms));
     pool
+}
+
+/// One external step of a randomized disk workload.
+#[derive(Debug, Clone, Copy)]
+enum DiskOp {
+    Stream(ServerId, IoDir, u64),
+    /// A primary utilization sample (0.9 and above throttles a
+    /// constant-class tenant's disk to zero: its streams park).
+    Util(ServerId, f64),
+    /// A brown-out factor (0 parks every stream on the disk).
+    Degrade(ServerId, f64),
+}
+
+/// Every disk's final state in [`disk_workload`]: an unthrottled
+/// utilization and a healthy disk, so every parked stream is rescued
+/// and the pool drains.
+const DISK_SETTLE_MS: u64 = 1_000;
+
+/// Turns raw proptest draws into a time-ordered disk workload:
+/// `streams` are (server, write?, bytes, start-ms), `utils` are
+/// (server, centi-util, at-ms, park?) — one draw in three pins 95%,
+/// which throttles the disk to zero — and `degrades` are (server,
+/// tenths, at-ms), tenths 0 parking the disk. Every touched disk
+/// settles back at [`DISK_SETTLE_MS`].
+fn disk_workload(
+    streams: &[(usize, u64, u64, u64)],
+    utils: &[(usize, u64, u64, u64)],
+    degrades: &[(usize, u64, u64)],
+) -> Vec<(u64, DiskOp)> {
+    let server = |s: usize| ServerId((s % N_DISKS) as u32);
+    let mut ops: Vec<(u64, DiskOp)> = streams
+        .iter()
+        .map(|&(s, write, bytes, at)| {
+            let dir = if write % 2 == 1 {
+                IoDir::Write
+            } else {
+                IoDir::Read
+            };
+            (
+                at,
+                DiskOp::Stream(server(s), dir, (bytes % 64 + 1) * 1024 * 1024),
+            )
+        })
+        .collect();
+    for &(s, centi, at, park) in utils {
+        let util = if park % 3 == 0 {
+            0.95
+        } else {
+            centi as f64 / 100.0
+        };
+        ops.push((at, DiskOp::Util(server(s), util)));
+        ops.push((DISK_SETTLE_MS, DiskOp::Util(server(s), 0.3)));
+    }
+    for &(s, tenths, at) in degrades {
+        ops.push((at, DiskOp::Degrade(server(s), tenths as f64 / 10.0)));
+        ops.push((DISK_SETTLE_MS, DiskOp::Degrade(server(s), 1.0)));
+    }
+    ops.sort_by_key(|op| op.0);
+    ops
+}
+
+/// Channel index of a disk channel in the oracle's resource vector.
+fn channel_index(server: ServerId, dir: IoDir) -> usize {
+    2 * server.0 as usize + usize::from(dir == IoDir::Write)
+}
+
+/// Every channel's current secondary capacity, as the oracle's
+/// resource vector.
+fn channel_capacities(p: &DiskPool) -> Vec<f64> {
+    (0..N_DISKS as u32)
+        .flat_map(|s| [IoDir::Read, IoDir::Write].map(|d| p.secondary_capacity(ServerId(s), d)))
+        .collect()
+}
+
+/// Checks the pool's current allocation against the oracle: every
+/// stream's rate is bitwise the test's own `secondary_capacity / n`
+/// for its channel, and the allocation passes the max-min certificate
+/// over all channels.
+fn check_pool(p: &DiskPool) -> Result<(), String> {
+    let capacity = channel_capacities(p);
+    let ids = p.active_stream_ids();
+    let mut paths = Vec::new();
+    let mut rates = Vec::new();
+    for &id in &ids {
+        let (server, dir) = p.stream_channel(id).unwrap();
+        let got = p.stream_rate(id).unwrap();
+        let want = p.secondary_capacity(server, dir) / p.channel_streams(server, dir) as f64;
+        if got.to_bits() != want.to_bits() {
+            return Err(format!(
+                "{id:?} on {server:?} {dir:?}: {got} B/s, equal split is {want}"
+            ));
+        }
+        paths.push(vec![channel_index(server, dir)]);
+        rates.push(got);
+    }
+    oracle::certify(&capacity, &paths, &rates)
+}
+
+/// Drives `p` through `ops` exactly as [`drive_fabric`] drives a
+/// fabric, checking it against the oracle after every event. A stream's
+/// replay work is its bytes plus the per-operation seek, charged as
+/// seek time at the raw channel speed (the pool's documented cost).
+#[allow(clippy::type_complexity)]
+fn drive_pool(
+    p: &mut DiskPool,
+    ops: &[(u64, DiskOp)],
+) -> Result<(Vec<(u64, oracle::End)>, Vec<(u64, oracle::Step)>), String> {
+    let mut ends = Vec::new();
+    let mut steps = Vec::new();
+    let mut k = 0;
+    while let Some(now) = next_instant(p.next_event_time(), ops.get(k).map(|op| op.0)) {
+        let at = SimTime::from_millis(now);
+        if ops.get(k).map(|op| op.0) == Some(now) {
+            while let Some(&(_, op)) = ops.get(k).filter(|op| op.0 == now) {
+                let tag = k as u64;
+                k += 1;
+                let touched = match op {
+                    DiskOp::Stream(server, dir, bytes) => {
+                        p.schedule_stream(at, server, dir, bytes, tag);
+                        let seek = p.config().seek_ms / 1_000.0 * p.capacity(dir);
+                        let path = vec![channel_index(server, dir)];
+                        let work = bytes as f64 + seek;
+                        steps.push((
+                            now,
+                            oracle::Step::Start {
+                                id: tag,
+                                work,
+                                path,
+                            },
+                        ));
+                        continue;
+                    }
+                    DiskOp::Util(server, util) => {
+                        p.set_primary_util(at, server, util);
+                        server
+                    }
+                    DiskOp::Degrade(server, factor) => {
+                        p.set_degrade(at, server, factor);
+                        server
+                    }
+                };
+                for dir in [IoDir::Read, IoDir::Write] {
+                    let resource = channel_index(touched, dir);
+                    let (capacity, abort) = (p.secondary_capacity(touched, dir), false);
+                    steps.push((
+                        now,
+                        oracle::Step::Capacity {
+                            resource,
+                            capacity,
+                            abort,
+                        },
+                    ));
+                }
+            }
+        } else {
+            for c in p.pump(at) {
+                ends.push((c.tag, oracle::End::Done(c.at.as_millis())));
+            }
+        }
+        check_pool(p).map_err(|e| format!("at {now} ms: {e}"))?;
+    }
+    Ok((ends, steps))
 }
 
 proptest! {
@@ -601,83 +906,49 @@ proptest! {
         }
     }
 
-    /// The disk-pool oracle: channel-scoped re-sharing is *bitwise*
-    /// identical to the reference global recompute (every channel
-    /// re-shared on every event) — same rates, versions, and completion
-    /// schedule — across randomized storm workloads. Utilizations are
-    /// capped below the throttle threshold so drain() terminates.
-    /// Pinned to `SharingMode::Filling`: versions are a filling-tier
-    /// concept (frozen while a stream is enrolled in an analytic
-    /// group); the analytic tier has its own oracle below.
+    /// The disk pool against the independent global oracle
+    /// (`tests/oracle`), on randomized storms whose disks throttle to
+    /// zero and recover (primary utilization park → rescue) and brown
+    /// out (`set_degrade`, including to zero). After every event, every
+    /// stream on every channel runs at bitwise the test's own
+    /// `secondary_capacity / n` and the allocation passes the max-min
+    /// certificate; every completion lands within 1 ms of the oracle's
+    /// fluid replay.
     #[test]
     fn disk_channel_reshare_matches_global_oracle(
         streams in prop::collection::vec((0usize..500, 0u64..2, 0u64..64, 0u64..400), 1..60),
-        utils in prop::collection::vec((0usize..500, 0u64..45), 0..8),
-        probe_ms in 0u64..400,
+        utils in prop::collection::vec((0usize..500, 0u64..100, 0u64..600, 0u64..3), 0..8),
+        degrades in prop::collection::vec((0usize..500, 0u64..10, 0u64..600), 0..4),
     ) {
-        let run = |scope: harvest::disk::ReshareScope| {
-            let mut p = loaded_pool_scoped(
-                &streams,
-                &utils,
-                probe_ms,
-                scope,
-                harvest::disk::SharingMode::Filling,
-            );
-            let probe: Vec<(u64, u64, u64)> = p
-                .active_stream_ids()
-                .iter()
-                .map(|&id| (
-                    id.0,
-                    p.stream_rate(id).unwrap().to_bits(),
-                    p.stream_version(id).unwrap(),
-                ))
-                .collect();
-            let ends: Vec<(u64, harvest::sim::SimTime)> =
-                p.drain().into_iter().map(|c| (c.tag, c.at)).collect();
-            (probe, ends)
-        };
-        let chan = run(harvest::disk::ReshareScope::Channel);
-        let glob = run(harvest::disk::ReshareScope::Global);
-        prop_assert_eq!(&chan.0, &glob.0, "mid-storm rates/versions diverged");
-        prop_assert_eq!(&chan.1, &glob.1, "completion schedules diverged");
+        let mut p = DiskPool::new(N_DISKS, &DiskConfig::datacenter());
+        let initial = channel_capacities(&p);
+        let (ends, steps) = drive_pool(&mut p, &disk_workload(&streams, &utils, &degrades))?;
+        compare_ends(ends, &oracle::replay(&initial, &steps), 1)?;
+        prop_assert_eq!(p.stats().completed, streams.len() as u64, "streams went missing");
     }
 
-    /// The disk analytic-tier oracle: channels are single-bottleneck by
-    /// construction, so under `Auto` every occupied channel promotes.
-    /// Mid-storm rates are *bitwise* identical to the global filling
-    /// reference and every completion *time* matches exactly (both
-    /// tiers divide the same capacity by the same population; the
-    /// millisecond clock rounds away the reassociation drift).
-    /// Same-millisecond completions may pop in a different order
-    /// across tiers, so schedules are compared sorted by (time, tag).
+    /// The analytic channel engine on fault-free storms: after every
+    /// event every rate is bitwise the global equal split, and the
+    /// completion schedule equals the oracle's replay on the
+    /// millisecond clock exactly — the fair-work clock's float
+    /// reassociation never moves a completion across a millisecond
+    /// boundary here.
     #[test]
     fn disk_analytic_matches_global_oracle(
         streams in prop::collection::vec((0usize..500, 0u64..2, 0u64..64, 0u64..400), 1..60),
         utils in prop::collection::vec((0usize..500, 0u64..45), 0..8),
-        probe_ms in 0u64..400,
     ) {
-        let run = |scope, mode| {
-            let mut p = loaded_pool_scoped(&streams, &utils, probe_ms, scope, mode);
-            let probe: Vec<(u64, u64)> = p
-                .active_stream_ids()
-                .iter()
-                .map(|&id| (id.0, p.stream_rate(id).unwrap().to_bits()))
-                .collect();
-            let mut ends: Vec<(harvest::sim::SimTime, u64)> =
-                p.drain().into_iter().map(|c| (c.at, c.tag)).collect();
-            ends.sort();
-            (probe, ends)
-        };
-        let ana = run(
-            harvest::disk::ReshareScope::Channel,
-            harvest::disk::SharingMode::Auto,
-        );
-        let glob = run(
-            harvest::disk::ReshareScope::Global,
-            harvest::disk::SharingMode::Filling,
-        );
-        prop_assert_eq!(&ana.0, &glob.0, "mid-storm rates diverged");
-        prop_assert_eq!(&ana.1, &glob.1, "completion schedules diverged");
+        let mut p = DiskPool::new(N_DISKS, &DiskConfig::datacenter());
+        let utils: Vec<(usize, u64, u64, u64)> =
+            utils.iter().map(|&(s, centi)| (s, centi, 0, 1)).collect();
+        let ops: Vec<(u64, DiskOp)> = disk_workload(&streams, &utils, &[])
+            .into_iter()
+            .filter(|op| op.0 < DISK_SETTLE_MS)
+            .collect();
+        let initial = channel_capacities(&p);
+        let (ends, steps) = drive_pool(&mut p, &ops)?;
+        compare_ends(ends, &oracle::replay(&initial, &steps), 0)?;
+        prop_assert!(p.stats().analytic_events > 0, "fast path never served");
     }
 
     /// The disk pool replays bit-identically for identical inputs.
@@ -999,11 +1270,10 @@ proptest! {
         let mut knobs = FaultPlan::none();
         knobs.max_retries = retries;
         knobs.shed_inflight_above = Some(shed);
-        let mode = harvest::sim::SharingMode::Auto;
         let a = run_loss(
-            &dc, PlacementPolicy::Stock, 3, 2, seed, 0, None, None, mode, &FaultPlan::none(),
+            &dc, PlacementPolicy::Stock, 3, 2, seed, 0, None, None, &FaultPlan::none(),
         );
-        let b = run_loss(&dc, PlacementPolicy::Stock, 3, 2, seed, 0, None, None, mode, &knobs);
+        let b = run_loss(&dc, PlacementPolicy::Stock, 3, 2, seed, 0, None, None, &knobs);
         prop_assert_eq!(a.percent.to_bits(), b.percent.to_bits());
         prop_assert_eq!(a.blocks, b.blocks);
         prop_assert_eq!(b.faults_injected, 0);
